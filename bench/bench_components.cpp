@@ -1,16 +1,17 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
- * DRAM channel scheduling, scratchpad banking, PCU pipeline stepping
- * and the end-to-end compile path. These guard the simulator's own
- * performance (host seconds per simulated cycle), not modelled
- * hardware performance.
+ * DRAM channel scheduling, scratchpad banking, PCU pipeline stepping,
+ * the end-to-end compile path and the PIR reference evaluator. These
+ * guard the simulator's own performance (host seconds per simulated
+ * cycle), not modelled hardware performance.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "apps/apps.hpp"
 #include "compiler/mapper.hpp"
+#include "pir/eval.hpp"
 #include "sim/dram.hpp"
 #include "sim/scratchpad.hpp"
 
@@ -77,5 +78,40 @@ BM_SimulateInnerProduct(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimulateInnerProduct);
+
+/** One reference-evaluator run (the validation step of every job) on a
+ *  registered app; reports host time per ALU lane-op. */
+static void
+BM_Evaluator(benchmark::State &state, const char *name,
+             apps::Scale scale)
+{
+    setVerbose(false);
+    const apps::AppSpec *spec = nullptr;
+    for (const apps::AppSpec &s : apps::allApps())
+        if (s.name == name)
+            spec = &s;
+    if (!spec) {
+        state.SkipWithError("unknown app");
+        return;
+    }
+    apps::AppInstance app = spec->make(scale);
+    Runner r(app.prog);
+    app.load(r);
+    uint64_t ops = 0;
+    for (auto _ : state) {
+        pir::Evaluator ev = r.runReference();
+        ops = ev.counts().aluOps;
+        benchmark::DoNotOptimize(ops);
+    }
+    // Inverted op rate: seconds per ALU lane-op (printed as ns).
+    state.counters["per_alu_op"] = benchmark::Counter(
+        static_cast<double>(ops) * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_Evaluator, GEMM, "GEMM", apps::Scale::kDefault)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Evaluator, TPCHQ6, "TPC-H Query 6",
+                  apps::Scale::kDefault)
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -1,6 +1,7 @@
 #include "pir/eval.hpp"
 
 #include "base/logging.hpp"
+#include "sim/execplan.hpp"
 #include "sim/fuexec.hpp"
 
 namespace plast::pir
@@ -15,6 +16,99 @@ Evaluator::Evaluator(const Program &prog, uint32_t lanes)
         memData_[i].assign(prog.mems[i].sizeWords, 0);
     ctrVal_.assign(prog.ctrs.size(), 0);
     argOuts_.resize(prog.numArgOuts);
+
+    clearLists_.resize(prog.nodes.size());
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        NodeId at = prog.mems[m].clearAt;
+        if (at >= 0 && static_cast<size_t>(at) < prog.nodes.size())
+            clearLists_[at].push_back(static_cast<MemId>(m));
+    }
+    serial_.assign(prog.nodes.size(), false);
+    for (size_t i = 0; i < prog.nodes.size(); ++i) {
+        if (prog.nodes[i].kind == NodeKind::kCompute)
+            serial_[i] = laneOrderHazard(static_cast<NodeId>(i));
+    }
+    ctrLevel_.assign(prog.ctrs.size(), -1);
+    slot_.resize(prog.exprs.size());
+    val_.assign(prog.exprs.size() * lanes, 0);
+    kernel_.assign(prog.exprs.size(), nullptr);
+    for (size_t i = 0; i < prog.exprs.size(); ++i) {
+        if (prog.exprs[i].kind == ExprKind::kAlu)
+            kernel_[i] = mapKernelFor(prog.exprs[i].alu);
+    }
+}
+
+bool
+Evaluator::laneOrderHazard(NodeId leafId) const
+{
+    // Memories the leaf's sinks write, then every memory (and scalar
+    // stream) read by an expression reachable from those sinks.
+    const Node &leaf = prog_.nodes[leafId];
+    std::vector<bool> written(prog_.mems.size(), false);
+    std::vector<ExprId> todo;
+    for (const Sink &sk : leaf.sinks) {
+        MemId w = kNone;
+        switch (sk.kind) {
+          case SinkKind::kStoreSram:
+          case SinkKind::kFlatMapSram:
+            w = sk.mem;
+            break;
+          case SinkKind::kFold:
+            if (sk.dest == FoldDest::kSramAddr)
+                w = sk.mem;
+            break;
+          case SinkKind::kStreamOut:
+          case SinkKind::kScatterOut:
+            w = sk.dram;
+            break;
+        }
+        if (w >= 0 && static_cast<size_t>(w) < written.size())
+            written[w] = true;
+        for (ExprId r : {sk.value, sk.addr, sk.postScale, sk.postOffset,
+                         sk.pred, sk.dramAddr, sk.scatterPred})
+            todo.push_back(r);
+    }
+    auto writes = [&](MemId m) {
+        return m >= 0 && static_cast<size_t>(m) < written.size() &&
+               written[m];
+    };
+    std::vector<bool> seen(prog_.exprs.size(), false);
+    while (!todo.empty()) {
+        ExprId id = todo.back();
+        todo.pop_back();
+        if (id < 0 || static_cast<size_t>(id) >= seen.size() || seen[id])
+            continue;
+        seen[id] = true;
+        const Expr &e = prog_.exprs[id];
+        switch (e.kind) {
+          case ExprKind::kAlu:
+            todo.insert(todo.end(), {e.a, e.b, e.c});
+            break;
+          case ExprKind::kLoadSram:
+            if (writes(e.mem))
+                return true;
+            todo.push_back(e.addr);
+            break;
+          case ExprKind::kStreamIn:
+            if (e.stream >= 0 &&
+                static_cast<size_t>(e.stream) < leaf.streamIns.size()) {
+                const StreamIn &si = leaf.streamIns[e.stream];
+                if (writes(si.dram))
+                    return true;
+                todo.push_back(si.addr);
+            }
+            break;
+          case ExprKind::kScalarIn:
+            if (e.scalar >= 0 &&
+                static_cast<size_t>(e.scalar) < leaf.scalarIns.size() &&
+                leaf.scalarIns[e.scalar].fromNode == leafId)
+                return true;
+            break;
+          default:
+            break;
+        }
+    }
+    return false;
 }
 
 std::vector<Word> &
@@ -74,19 +168,11 @@ Evaluator::execNode(NodeId id)
         // Recurse over the outer counters; schemes (sequential /
         // metapipe / stream) are performance-only and share functional
         // semantics.
-        struct Frame
-        {
-            const Node *node;
-        };
-        std::vector<int64_t> saved;
-        saved.reserve(n.ctrs.size());
         // Iterative nested loop over n.ctrs.
-        NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
+        const std::vector<MemId> &clears = clearLists_[id];
         auto clear_gen_mems = [&]() {
-            for (size_t m = 0; m < prog_.mems.size(); ++m) {
-                if (prog_.mems[m].clearAt == my_id)
-                    std::fill(memData_[m].begin(), memData_[m].end(), 0);
-            }
+            for (MemId m : clears)
+                std::fill(memData_[m].begin(), memData_[m].end(), 0);
         };
         std::vector<int64_t> idx(n.ctrs.size());
         size_t depth = 0;
@@ -133,13 +219,6 @@ void
 Evaluator::execTransfer(const Node &n)
 {
     const TransferDesc &x = n.xfer;
-    ExprCache cache;
-    cache.epoch.assign(prog_.exprs.size() * kMaxLanes, 0);
-    cache.val.resize(prog_.exprs.size());
-    cache.cur = 1;
-    Wavefront wf;
-    wf.mask = 1;
-
     std::vector<Word> &dram = memData_[x.dram];
     if (x.sparse) {
         int64_t count = x.rowWords;
@@ -159,7 +238,9 @@ Evaluator::execTransfer(const Node &n)
         return;
     }
 
-    int64_t base = wordToInt(evalExpr(x.base, 0, n, wf, cache));
+    leaf_ = &n;
+    ++epoch_;
+    int64_t base = wordToInt(evalLane(x.base, 0));
     int64_t row_words = x.rowWordsArg != kNone
                             ? wordToInt(prog_.args[x.rowWordsArg].value)
                             : x.rowWords;
@@ -181,71 +262,97 @@ Evaluator::execTransfer(const Node &n)
     }
 }
 
-Word
-Evaluator::evalExpr(ExprId id, uint32_t lane, const Node &leaf,
-                    const Wavefront &wf, ExprCache &cache)
+void
+Evaluator::evalVec(ExprId id, uint32_t need)
 {
-    size_t key = static_cast<size_t>(id) * kMaxLanes + lane;
-    if (cache.epoch[key] == cache.cur)
-        return cache.val[id][lane];
+    Slot &slot = slot_[id];
+    if (slot.epoch != epoch_) {
+        slot.epoch = epoch_;
+        slot.done = 0;
+    }
+    const uint32_t todo = need & ~slot.done;
+    if (todo == 0)
+        return;
     const Expr &e = prog_.exprs[id];
-    Word v = 0;
+    Word *out = vals(id);
+    auto each = [todo](auto &&f) {
+        for (uint32_t m = todo; m != 0; m &= m - 1)
+            f(static_cast<uint32_t>(__builtin_ctz(m)));
+    };
+    auto fill = [&](Word v) { each([&](uint32_t l) { out[l] = v; }); };
+    const uint64_t lanes = static_cast<uint64_t>(__builtin_popcount(todo));
     switch (e.kind) {
       case ExprKind::kConst:
-        v = e.cval;
+        fill(e.cval);
         break;
       case ExprKind::kArg:
-        v = prog_.args[e.arg].value;
+        fill(prog_.args[e.arg].value);
         break;
       case ExprKind::kCtr: {
-        // Leaf counter? Use the wavefront (vectorized lanes); else the
-        // enclosing outer-controller environment.
-        int level = -1;
-        for (size_t i = 0; i < leaf.leafCtrs.size(); ++i) {
-            if (leaf.leafCtrs[i] == e.ctr) {
-                level = static_cast<int>(i);
-                break;
-            }
+        // Leaf counter: per-lane wavefront value; outer counter: the
+        // enclosing controller's current index.
+        int8_t level = ctrLevel_[e.ctr];
+        if (level < 0) {
+            fill(static_cast<Word>(ctrVal_[e.ctr]));
+        } else {
+            each([&](uint32_t l) {
+                out[l] = static_cast<Word>(
+                    wf_.ctrLane(static_cast<uint8_t>(level), l));
+            });
         }
-        v = level >= 0 ? static_cast<Word>(
-                             wf.ctrLane(static_cast<uint8_t>(level), lane))
-                       : static_cast<Word>(ctrVal_[e.ctr]);
         break;
       }
       case ExprKind::kAlu: {
-        Word a = e.a != kNone ? evalExpr(e.a, lane, leaf, wf, cache) : 0;
-        Word b = e.b != kNone ? evalExpr(e.b, lane, leaf, wf, cache) : 0;
-        Word c = e.c != kNone ? evalExpr(e.c, lane, leaf, wf, cache) : 0;
-        v = fuExec(e.alu, a, b, c);
-        ++counts_.aluOps;
+        static const std::array<Word, kMaxLanes> kZero{};
+        if (e.a != kNone)
+            evalVec(e.a, todo);
+        if (e.b != kNone)
+            evalVec(e.b, todo);
+        if (e.c != kNone)
+            evalVec(e.c, todo);
+        const Word *a = e.a != kNone ? vals(e.a) : kZero.data();
+        const Word *b = e.b != kNone ? vals(e.b) : kZero.data();
+        const Word *c = e.c != kNone ? vals(e.c) : kZero.data();
+        // A lane prefix runs the monomorphic kernel; other masks (and
+        // ops without one) go lane by lane through the checked fuExec.
+        if (kernel_[id] && (todo & (todo + 1)) == 0) {
+            kernel_[id](a, b, c, out, static_cast<uint32_t>(lanes));
+        } else {
+            each([&](uint32_t l) {
+                out[l] = fuExec(e.alu, a[l], b[l], c[l]);
+            });
+        }
+        counts_.aluOps += lanes;
         break;
       }
       case ExprKind::kLoadSram: {
-        Word a = evalExpr(e.addr, lane, leaf, wf, cache);
-        v = memData_[e.mem].at(a);
-        ++counts_.sramWordsRead;
+        evalVec(e.addr, todo);
+        const Word *addr = vals(e.addr);
+        const std::vector<Word> &m = memData_[e.mem];
+        each([&](uint32_t l) { out[l] = m.at(addr[l]); });
+        counts_.sramWordsRead += lanes;
         break;
       }
       case ExprKind::kStreamIn: {
-        const StreamIn &si = leaf.streamIns.at(e.stream);
-        Word a = evalExpr(si.addr, lane, leaf, wf, cache);
-        v = memData_[si.dram].at(a);
-        ++counts_.dramWordsRead;
+        const StreamIn &si = leaf_->streamIns.at(e.stream);
+        evalVec(si.addr, todo);
+        const Word *addr = vals(si.addr);
+        const std::vector<Word> &m = memData_[si.dram];
+        each([&](uint32_t l) { out[l] = m.at(addr[l]); });
+        counts_.dramWordsRead += lanes;
         break;
       }
       case ExprKind::kScalarIn: {
-        const ScalarIn &si = leaf.scalarIns.at(e.scalar);
+        const ScalarIn &si = leaf_->scalarIns.at(e.scalar);
         auto it = lastScalar_.find({si.fromNode, si.fromSink});
-        v = it == lastScalar_.end() ? 0 : it->second;
+        fill(it == lastScalar_.end() ? 0 : it->second);
         break;
       }
       case ExprKind::kLaneId:
-        v = lane;
+        each([&](uint32_t l) { out[l] = l; });
         break;
     }
-    cache.epoch[key] = cache.cur;
-    cache.val[id][lane] = v;
-    return v;
+    slot.done |= todo;
 }
 
 void
@@ -294,23 +401,43 @@ Evaluator::execCompute(const Node &n)
         bool accum = (sk.kind == SinkKind::kStoreSram && sk.accumulate) ||
                      (sk.kind == SinkKind::kFold &&
                       sk.dest == FoldDest::kSramAddr && sk.accumulate);
-        if (accum && prog_.mems[sk.mem].clearAt == kNone &&
-            prog_.mems[sk.mem].clearAt != kNeverClear)
+        if (accum && prog_.mems[sk.mem].clearAt == kNone)
             std::fill(memData_[sk.mem].begin(), memData_[sk.mem].end(),
                       0);
     }
 
-    ExprCache cache;
-    cache.epoch.assign(prog_.exprs.size() * kMaxLanes, 0);
-    cache.val.resize(prog_.exprs.size());
-    cache.cur = 0;
+    // Lane-batched unless the leaf is lane-order sensitive: `pre`
+    // computes an expression over exactly the lanes the per-lane loops
+    // below will read, which then find every value cached.
+    NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
+    const bool serial = serial_[my_id];
+    auto pre = [&](ExprId e, uint32_t mask) {
+        if (!serial && e != kNone)
+            evalVec(e, mask);
+    };
+    // Lanes of `mask` where a prefetched predicate is true.
+    auto truthy = [&](ExprId e, uint32_t mask) {
+        uint32_t keep = 0;
+        if (!serial && e != kNone) {
+            for (uint32_t m = mask; m != 0; m &= m - 1) {
+                uint32_t l = static_cast<uint32_t>(__builtin_ctz(m));
+                if (vals(e)[l] != 0)
+                    keep |= 1u << l;
+            }
+        }
+        return keep;
+    };
+    for (size_t i = n.leafCtrs.size(); i-- > 0;)
+        ctrLevel_[n.leafCtrs[i]] = static_cast<int8_t>(i);
+    leaf_ = &n;
+    Wavefront &wf = wf_;
 
     while (!chain.done()) {
-        Wavefront wf;
         chain.issueInto(wf);
         ++counts_.wavefronts;
-        ++cache.cur;
+        ++epoch_;
 
+        const uint32_t valid = wf.mask;
         for (size_t s = 0; s < n.sinks.size(); ++s) {
             const Sink &sk = n.sinks[s];
             switch (sk.kind) {
@@ -321,11 +448,13 @@ Evaluator::execCompute(const Node &n)
                 // observes the same order as the hardware pops.
                 bool fifo =
                     prog_.mems[sk.mem].mode == BankingMode::kFifo;
+                pre(sk.addr, valid);
+                pre(sk.value, valid);
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
-                    Word a = evalExpr(sk.addr, l, n, wf, cache);
-                    Word v = evalExpr(sk.value, l, n, wf, cache);
+                    Word a = evalLane(sk.addr, l);
+                    Word v = evalLane(sk.value, l);
                     std::vector<Word> &m = memData_[sk.mem];
                     if (fifo && a >= m.size())
                         m.resize(a + 1, 0);
@@ -341,13 +470,14 @@ Evaluator::execCompute(const Node &n)
                 uint8_t lvl = static_cast<uint8_t>(fs.levelIdx);
                 if (wf.firstAtLevel(lvl))
                     fs.acc.fill(fuOpIdentity(sk.foldOp));
+                pre(sk.value, valid);
                 if (sk.crossLane) {
                     // Pairwise tree with identity fill — same order as
                     // the PCU reduction network.
                     std::array<Word, kMaxLanes> v{};
                     for (uint32_t l = 0; l < lanes_; ++l) {
                         v[l] = wf.valid(l)
-                                   ? evalExpr(sk.value, l, n, wf, cache)
+                                   ? evalLane(sk.value, l)
                                    : fuOpIdentity(sk.foldOp);
                     }
                     for (uint32_t dist = 1; dist < lanes_; dist *= 2) {
@@ -362,7 +492,7 @@ Evaluator::execCompute(const Node &n)
                         if (wf.valid(l)) {
                             fs.acc[l] = fuExec(
                                 sk.foldOp, fs.acc[l],
-                                evalExpr(sk.value, l, n, wf, cache), 0);
+                                evalLane(sk.value, l), 0);
                         }
                     }
                 }
@@ -370,12 +500,10 @@ Evaluator::execCompute(const Node &n)
                     if (sk.postScale == kNone && sk.postOffset == kNone)
                         return v;
                     Word sc = sk.postScale != kNone
-                                  ? evalExpr(sk.postScale, lane, n, wf,
-                                             cache)
+                                  ? evalLane(sk.postScale, lane)
                                   : floatToWord(1.0f);
                     Word of = sk.postOffset != kNone
-                                  ? evalExpr(sk.postOffset, lane, n, wf,
-                                             cache)
+                                  ? evalLane(sk.postOffset, lane)
                                   : floatToWord(0.0f);
                     return fuExec(FuOp::kFMA, v, sc, of);
                 };
@@ -384,13 +512,10 @@ Evaluator::execCompute(const Node &n)
                         argOuts_.at(sk.argOut).push_back(
                             post(fs.acc[0], 0));
                     } else if (sk.dest == FoldDest::kScalarStream) {
-                        lastScalar_[{static_cast<NodeId>(&n -
-                                                         prog_.nodes
-                                                             .data()),
-                                     static_cast<int32_t>(s)}] =
+                        lastScalar_[{my_id, static_cast<int32_t>(s)}] =
                             post(fs.acc[0], 0);
                     } else if (sk.crossLane) {
-                        Word a = evalExpr(sk.addr, 0, n, wf, cache);
+                        Word a = evalLane(sk.addr, 0);
                         std::vector<Word> &m = memData_[sk.mem];
                         Word v = post(fs.acc[0], 0);
                         if (sk.accumulate)
@@ -398,10 +523,13 @@ Evaluator::execCompute(const Node &n)
                         m.at(a) = v;
                         ++counts_.sramWordsWritten;
                     } else {
+                        pre(sk.addr, valid);
+                        pre(sk.postScale, valid);
+                        pre(sk.postOffset, valid);
                         for (uint32_t l = 0; l < lanes_; ++l) {
                             if (!wf.valid(l))
                                 continue;
-                            Word a = evalExpr(sk.addr, l, n, wf, cache);
+                            Word a = evalLane(sk.addr, l);
                             std::vector<Word> &m = memData_[sk.mem];
                             Word v = post(fs.acc[l], l);
                             if (sk.accumulate)
@@ -414,12 +542,14 @@ Evaluator::execCompute(const Node &n)
                 break;
               }
               case SinkKind::kFlatMapSram: {
+                pre(sk.pred, valid);
+                pre(sk.value, truthy(sk.pred, valid));
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
-                    if (evalExpr(sk.pred, l, n, wf, cache) == 0)
+                    if (evalLane(sk.pred, l) == 0)
                         continue;
-                    Word v = evalExpr(sk.value, l, n, wf, cache);
+                    Word v = evalLane(sk.value, l);
                     memData_[sk.mem].at(fifoFill_[sk.mem]++) = v;
                     ++flatCounts[s];
                     ++counts_.sramWordsWritten;
@@ -427,26 +557,33 @@ Evaluator::execCompute(const Node &n)
                 break;
               }
               case SinkKind::kStreamOut: {
+                pre(sk.dramAddr, valid);
+                pre(sk.value, valid);
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
-                    Word a = evalExpr(sk.dramAddr, l, n, wf, cache);
-                    memData_[sk.dram].at(a) =
-                        evalExpr(sk.value, l, n, wf, cache);
+                    Word a = evalLane(sk.dramAddr, l);
+                    memData_[sk.dram].at(a) = evalLane(sk.value, l);
                     ++counts_.dramWordsWritten;
                 }
                 break;
               }
               case SinkKind::kScatterOut: {
+                uint32_t keep = valid;
+                if (sk.scatterPred != kNone) {
+                    pre(sk.scatterPred, valid);
+                    keep = truthy(sk.scatterPred, valid);
+                }
+                pre(sk.dramAddr, keep);
+                pre(sk.value, keep);
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
                     if (sk.scatterPred != kNone &&
-                        evalExpr(sk.scatterPred, l, n, wf, cache) == 0)
+                        evalLane(sk.scatterPred, l) == 0)
                         continue;
-                    Word a = evalExpr(sk.dramAddr, l, n, wf, cache);
-                    memData_[sk.dram].at(a) =
-                        evalExpr(sk.value, l, n, wf, cache);
+                    Word a = evalLane(sk.dramAddr, l);
+                    memData_[sk.dram].at(a) = evalLane(sk.value, l);
                     ++counts_.dramWordsWritten;
                 }
                 break;
@@ -454,9 +591,10 @@ Evaluator::execCompute(const Node &n)
             }
         }
     }
+    for (CtrId cid : n.leafCtrs)
+        ctrLevel_[cid] = -1;
 
     // End-of-run FlatMap bookkeeping.
-    NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
     for (size_t s = 0; s < n.sinks.size(); ++s) {
         const Sink &sk = n.sinks[s];
         if (sk.kind != SinkKind::kFlatMapSram)

@@ -10,6 +10,18 @@
  * therefore match the cycle simulator bit for bit, which lets the
  * end-to-end tests require exact equality.
  *
+ * Expressions are evaluated lane-batched, like a PCU stage: within one
+ * wavefront each expression is computed once over a lane mask
+ * (evalVec) and cached. Every sink first requests exactly the lanes
+ * the lane-at-a-time semantics reach — valid lanes, predicate-true
+ * lanes for FlatMap and ScatterOut, post-op/address lanes at fold
+ * ends — then performs its writes in lane order, so outputs,
+ * instrumented counts and every bounds-checked access are identical
+ * to evaluating one lane at a time. A leaf whose sinks write a memory
+ * that its own expressions read, or that reads a scalar it produces
+ * itself, is order-sensitive across lanes; it is evaluated with
+ * single-lane masks in the original lane-serial order.
+ *
  * The evaluator also counts ALU operations and DRAM word traffic;
  * these instrumented totals feed the FPGA baseline model (src/fpga).
  */
@@ -21,6 +33,7 @@
 #include <vector>
 
 #include "pir/ir.hpp"
+#include "sim/execplan.hpp"
 #include "sim/wavefront.hpp"
 
 namespace plast::pir
@@ -55,19 +68,35 @@ class Evaluator
     const Counts &counts() const { return counts_; }
 
   private:
-    struct ExprCache
+    /** Lanes of one expression computed in the current epoch. */
+    struct Slot
     {
-        std::vector<uint64_t> epoch;
-        std::vector<std::array<Word, kMaxLanes>> val;
-        uint64_t cur = 0;
+        uint64_t epoch = 0;
+        uint32_t done = 0;
     };
 
     int64_t boundOf(const CtrDecl &c) const;
     void execNode(NodeId id);
     void execTransfer(const Node &n);
     void execCompute(const Node &n);
-    Word evalExpr(ExprId id, uint32_t lane, const Node &leaf,
-                  const Wavefront &wf, ExprCache &cache);
+    /** True if `leaf` must run its lanes serially (see file comment). */
+    bool laneOrderHazard(NodeId leaf) const;
+    /** Compute expression `id` in the lanes of `need` not yet done in
+     *  this epoch (one wavefront of the current leaf). */
+    void evalVec(ExprId id, uint32_t need);
+    Word *
+    vals(ExprId id)
+    {
+        return &val_[static_cast<size_t>(id) * lanes_];
+    }
+    Word
+    evalLane(ExprId id, uint32_t lane)
+    {
+        const Slot &s = slot_[id];
+        if (s.epoch != epoch_ || !((s.done >> lane) & 1u))
+            evalVec(id, 1u << lane);
+        return vals(id)[lane];
+    }
 
     const Program &prog_;
     uint32_t lanes_;
@@ -78,6 +107,24 @@ class Evaluator
     /** Latest scalar per (node,sink): fold-to-scalar / flatmap counts. */
     std::map<std::pair<NodeId, int32_t>, Word> lastScalar_;
     Counts counts_;
+
+    // ---- per-program tables, built at construction ------------------
+    /** Memories each outer node zeroes per iteration (MemDecl::clearAt). */
+    std::vector<std::vector<MemId>> clearLists_;
+    /** Per compute leaf: lane-serial evaluation required. */
+    std::vector<bool> serial_;
+    /** Per ALU expression: monomorphic lane kernel (null: fuExec). */
+    std::vector<MapKernel> kernel_;
+
+    // ---- evaluation state, reused across leaf runs ------------------
+    /** Leaf-counter level of each counter in the running leaf; -1 for
+     *  outer counters (read from ctrVal_). */
+    std::vector<int8_t> ctrLevel_;
+    const Node *leaf_ = nullptr; ///< node whose expressions are evaluated
+    Wavefront wf_;
+    uint64_t epoch_ = 0; ///< bumped per wavefront / transfer
+    std::vector<Slot> slot_;
+    std::vector<Word> val_; ///< exprs x lanes_ cached values
 };
 
 } // namespace plast::pir

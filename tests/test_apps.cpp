@@ -72,6 +72,14 @@ struct Envelope
     Cycles lo, hi;
 };
 
+/** Prints the app name and bounds rather than gtest's default byte
+ *  dump, which would embed the `name` pointer and so give the test a
+ *  different name on every run under address-space randomisation. */
+void PrintTo(const Envelope &env, std::ostream *os)
+{
+    *os << env.name << " " << env.lo << ".." << env.hi;
+}
+
 class CycleEnvelope : public ::testing::TestWithParam<Envelope>
 {
 };

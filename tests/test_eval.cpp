@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/apps.hpp"
 #include "pir/builder.hpp"
 #include "pir/eval.hpp"
+#include "runtime/runner.hpp"
 
 using namespace plast;
 using namespace plast::pir;
@@ -208,4 +210,198 @@ TEST(Eval, CountsInstrumentationTracksWork)
     EXPECT_EQ(ev.counts().dramWordsRead, 64u);
     EXPECT_EQ(ev.counts().dramWordsWritten, 64u);
     EXPECT_EQ(ev.counts().wavefronts, 4u);
+}
+
+// ---- lane order and laziness -----------------------------------------
+
+TEST(EvalLaneOrder, InPlaceSramStoreSeesPreviousLane)
+{
+    // buf[i] = buf[i-1] + 1 inside one 16-lane wavefront: lane l must
+    // read lane l-1's store, as in a lane-serial walk.
+    Builder b("scan");
+    MemId buf = b.sram("buf", 33);
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId i = b.ctr("i", 1, 33, 1, true);
+    ExprId prev = b.load(buf, b.isub(b.ctrE(i), b.immI(1)));
+    b.compute("scan", root, {i}, {}, {},
+              {Builder::storeSram(buf, b.ctrE(i),
+                                  b.iadd(prev, b.immI(1)))});
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    ev.run();
+    for (int k = 0; k < 33; ++k)
+        EXPECT_EQ(wordToInt(ev.sramBuf(buf)[k]), k) << "k=" << k;
+    EXPECT_EQ(ev.counts().aluOps, 64u); // isub + iadd per element
+    EXPECT_EQ(ev.counts().sramWordsRead, 32u);
+    EXPECT_EQ(ev.counts().sramWordsWritten, 32u);
+    EXPECT_EQ(ev.counts().wavefronts, 2u);
+}
+
+TEST(EvalLaneOrder, InPlaceDramStreamSeesPreviousLane)
+{
+    // The same recurrence through DRAM: x[i] = x[i-1] * 2.
+    Builder b("dscan");
+    MemId x = b.dram("x", 20);
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId i = b.ctr("i", 1, 20, 1, true);
+    ExprId prev = b.streamRef(0);
+    b.compute("dscan", root, {i},
+              {StreamIn{x, b.isub(b.ctrE(i), b.immI(1))}}, {},
+              {Builder::streamOut(x, b.ctrE(i),
+                                  b.imul(prev, b.immI(2)))});
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    ev.dramBuf(x)[0] = 1;
+    ev.run();
+    for (int k = 0; k < 20; ++k)
+        EXPECT_EQ(wordToInt(ev.dramBuf(x)[k]), 1 << k) << "k=" << k;
+    EXPECT_EQ(ev.counts().aluOps, 38u);
+    EXPECT_EQ(ev.counts().dramWordsRead, 19u);
+    EXPECT_EQ(ev.counts().dramWordsWritten, 19u);
+}
+
+TEST(EvalLaneOrder, PredicatedOffLanesAreNeverEvaluated)
+{
+    // tab has 8 words; lanes 8..15 would load past its end, but their
+    // predicate is 0, so neither sink may evaluate the load there.
+    Builder b("pick");
+    MemId tab = b.sram("tab", 8);
+    MemId kept = b.sram("kept", 16);
+    MemId out = b.dram("out", 16);
+    int32_t cnt = b.argOut();
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId j = b.ctr("j", 0, 8, 1, true);
+    b.compute("fill", root, {j}, {}, {},
+              {Builder::storeSram(tab, b.ctrE(j),
+                                  b.imul(b.ctrE(j), b.immI(10)))});
+    CtrId i = b.ctr("i", 0, 16, 1, true);
+    ExprId pred = b.alu(FuOp::kILt, b.ctrE(i), b.immI(8));
+    ExprId v = b.load(tab, b.ctrE(i));
+    b.compute("pick", root, {i}, {}, {},
+              {Builder::scatterOut(out, b.ctrE(i), v, pred),
+               Builder::flatMap(kept, v, pred, cnt)});
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    ASSERT_NO_THROW(ev.run());
+    for (int k = 0; k < 16; ++k) {
+        int want = k < 8 ? k * 10 : 0;
+        EXPECT_EQ(wordToInt(ev.dramBuf(out)[k]), want) << "k=" << k;
+        EXPECT_EQ(wordToInt(ev.sramBuf(kept)[k]), want) << "k=" << k;
+    }
+    ASSERT_EQ(ev.argOuts(cnt).size(), 1u);
+    EXPECT_EQ(wordToInt(ev.argOuts(cnt)[0]), 8);
+    // Hand count: 8 imul (fill) + 16 ILt, shared by both sinks; the
+    // load runs once per predicated-on lane.
+    EXPECT_EQ(ev.counts().aluOps, 24u);
+    EXPECT_EQ(ev.counts().sramWordsRead, 8u);
+    EXPECT_EQ(ev.counts().sramWordsWritten, 16u);
+    EXPECT_EQ(ev.counts().dramWordsWritten, 8u);
+    EXPECT_EQ(ev.counts().dramWordsRead, 0u);
+    EXPECT_EQ(ev.counts().wavefronts, 2u);
+}
+
+// ---- golden outputs --------------------------------------------------
+
+namespace
+{
+
+uint64_t
+fnv1a(uint64_t h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+uint64_t
+fnv1aWords(uint64_t h, const std::vector<Word> &ws)
+{
+    h = fnv1a(h, ws.size());
+    for (Word w : ws)
+        h = fnv1a(h, w);
+    return h;
+}
+
+struct Golden
+{
+    const char *app;
+    apps::Scale scale;
+    uint64_t digest; ///< every DRAM/SRAM buffer, then every argOut
+    Evaluator::Counts counts;
+};
+
+// Captured from the lane-at-a-time evaluator this file was written
+// against; 13 apps at kTiny plus two at kDefault.
+const Golden kGolden[] = {
+    {"InnerProduct", apps::Scale::kTiny, 0x489665e3c09d3efaull,
+     {4097, 8192, 0, 0, 0, 257}},
+    {"OuterProduct", apps::Scale::kTiny, 0xede5665959cd6ac3ull,
+     {458784, 2048, 65536, 131072, 2048, 4096}},
+    {"Black-Scholes", apps::Scale::kTiny, 0x1e6f4e9a51f2cc01ull,
+     {98304, 6144, 4096, 0, 0, 128}},
+    {"TPC-H Query 6", apps::Scale::kTiny, 0x25f53dfe3a1f3bf9ull,
+     {45057, 16384, 0, 0, 0, 257}},
+    {"TPC-H Query 6", apps::Scale::kDefault, 0xb3980aa8653680e2ull,
+     {11534339, 4194304, 0, 0, 0, 65537}},
+    {"GEMM", apps::Scale::kTiny, 0xcd8e501f1eb7126bull,
+     {266280, 6144, 1024, 132096, 8192, 4096}},
+    {"GEMM", apps::Scale::kDefault, 0x7aafecc908fb3f31ull,
+     {8520960, 196608, 8192, 4202496, 262144, 131072}},
+    {"GDA", apps::Scale::kTiny, 0x4d31cff6a4c90a67ull,
+     {1048578, 4128, 1024, 525312, 135200, 8192}},
+    {"LogReg", apps::Scale::kTiny, 0xa2f5f44324b47189ull,
+     {166024, 16704, 64, 66240, 33728, 2072}},
+    {"SGD", apps::Scale::kTiny, 0xd0c92c38fe14746aull,
+     {165384, 16704, 64, 66368, 33856, 2080}},
+    {"Kmeans", apps::Scale::kTiny, 0x522014711ca6eecdull,
+     {239364, 4224, 128, 80768, 11392, 2848}},
+    {"CNN", apps::Scale::kTiny, 0x868fec3d1579a515ull,
+     {59094, 548, 490, 15386, 1430, 543}},
+    {"SMDV", apps::Scale::kTiny, 0x5c49dce9a135f08cull,
+     {6150, 6144, 128, 4224, 6272, 128}},
+    {"PageRank", apps::Scale::kTiny, 0x25e4a51c74079d43ull,
+     {4360, 4608, 512, 2304, 4352, 272}},
+    {"BFS", apps::Scale::kTiny, 0xccdbfc0e09cd0b4cull,
+     {4064, 2240, 352, 1824, 2300, 142}},
+};
+
+} // namespace
+
+TEST(EvalGolden, AppOutputsAndCountsArePinned)
+{
+    // Every buffer, argOut and instrumented count of the reference
+    // evaluator on every app, pinned bit for bit.
+    setVerbose(false);
+    for (const Golden &g : kGolden) {
+        SCOPED_TRACE(g.app);
+        const apps::AppSpec *spec = nullptr;
+        for (const apps::AppSpec &s : apps::allApps())
+            if (s.name == g.app)
+                spec = &s;
+        ASSERT_NE(spec, nullptr);
+        apps::AppInstance app = spec->make(g.scale);
+        Runner r(app.prog);
+        app.load(r);
+        Evaluator ev = r.runReference();
+        const Program &p = r.program();
+        uint64_t h = 0xcbf29ce484222325ull;
+        for (size_t m = 0; m < p.mems.size(); ++m) {
+            MemId id = static_cast<MemId>(m);
+            h = fnv1aWords(h, p.mems[m].kind == MemKind::kDram
+                                  ? ev.dramBuf(id)
+                                  : ev.sramBuf(id));
+        }
+        for (uint32_t s = 0; s < p.numArgOuts; ++s)
+            h = fnv1aWords(h, ev.argOuts(static_cast<int32_t>(s)));
+        EXPECT_EQ(h, g.digest);
+        const Evaluator::Counts &c = ev.counts();
+        EXPECT_EQ(c.aluOps, g.counts.aluOps);
+        EXPECT_EQ(c.dramWordsRead, g.counts.dramWordsRead);
+        EXPECT_EQ(c.dramWordsWritten, g.counts.dramWordsWritten);
+        EXPECT_EQ(c.sramWordsRead, g.counts.sramWordsRead);
+        EXPECT_EQ(c.sramWordsWritten, g.counts.sramWordsWritten);
+        EXPECT_EQ(c.wavefronts, g.counts.wavefronts);
+    }
 }

@@ -1112,6 +1112,10 @@ TEST(ServeCache, CancelledLeaderHandsOffToWaitingFollower)
         EXPECT_FALSE(a.hit);
     });
     std::thread follower([&] {
+        // Only engage once the leader has claimed the build slot;
+        // otherwise the follower can win the miss and lead itself.
+        while (cache.stats().misses < 1)
+            std::this_thread::yield();
         {
             std::lock_guard<std::mutex> lk(mu);
             followerEngaged = true;
