@@ -96,10 +96,17 @@ main(int argc, char **argv)
     std::string json_path = bench::statsJsonPath(argc, argv);
     apps::Scale scale = tiny ? apps::Scale::kTiny : apps::Scale::kDefault;
 
+    // The two reference legs pin the interpreter explicitly: the
+    // library default is the specialized engine, and a default leg
+    // would compare that engine with itself.
     SimOptions dense;
     dense.mode = SimOptions::Mode::kDense;
-    SimOptions activity; // default: activity scheduler, interpreter
+    dense.simMode = SimMode::kInterp;
+    SimOptions activity;
+    activity.mode = SimOptions::Mode::kActivity;
+    activity.simMode = SimMode::kInterp;
     SimOptions specialized;
+    specialized.mode = SimOptions::Mode::kActivity;
     specialized.simMode = SimMode::kSpecialized;
 
     std::printf("=== Simulation-phase cost: dense+interp vs "

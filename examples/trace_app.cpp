@@ -15,7 +15,10 @@
  * and the per-run manifest.
  */
 
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -38,8 +41,8 @@ usage()
     std::printf(
         "usage: trace_app <app> [options]\n"
         "  --mode=activity|dense   simulation mode (default activity)\n"
-        "  --sim-mode=interp|specialized\n"
-        "                          datapath engine (default interp)\n"
+        "  --sim-mode=specialized|interp\n"
+        "                          datapath engine (default specialized)\n"
         "  --scale=tiny|default    workload size (default tiny)\n"
         "  --trace=<path>          write Chrome trace-event JSON\n"
         "  --util-csv=<path>       write epoch utilization CSV\n"
@@ -52,6 +55,15 @@ usage()
     for (const auto &spec : apps::allApps())
         std::printf(" %s", spec.name.c_str());
     std::printf("\n");
+}
+
+/** Reject a flag whose value is not one of its listed choices. */
+int
+badValue(const char *arg)
+{
+    std::printf("unknown value in '%s'\n", arg);
+    usage();
+    return 1;
 }
 
 std::string
@@ -85,14 +97,29 @@ main(int argc, char **argv)
         const char *arg = argv[i];
         std::string v;
         if (!(v = flagValue(arg, "--mode")).empty()) {
-            opts.mode = v == "dense" ? SimOptions::Mode::kDense
-                                     : SimOptions::Mode::kActivity;
+            if (v == "activity") {
+                opts.mode = SimOptions::Mode::kActivity;
+            } else if (v == "dense") {
+                opts.mode = SimOptions::Mode::kDense;
+            } else {
+                return badValue(arg);
+            }
         } else if (!(v = flagValue(arg, "--sim-mode")).empty()) {
-            opts.simMode = v == "specialized" ? SimMode::kSpecialized
-                                              : SimMode::kInterp;
+            if (v == "specialized") {
+                opts.simMode = SimMode::kSpecialized;
+            } else if (v == "interp") {
+                opts.simMode = SimMode::kInterp;
+            } else {
+                return badValue(arg);
+            }
         } else if (!(v = flagValue(arg, "--scale")).empty()) {
-            scale = v == "default" ? apps::Scale::kDefault
-                                   : apps::Scale::kTiny;
+            if (v == "tiny") {
+                scale = apps::Scale::kTiny;
+            } else if (v == "default") {
+                scale = apps::Scale::kDefault;
+            } else {
+                return badValue(arg);
+            }
         } else if (!(v = flagValue(arg, "--trace")).empty()) {
             trace_path = v;
         } else if (!(v = flagValue(arg, "--util-csv")).empty()) {
@@ -104,7 +131,12 @@ main(int argc, char **argv)
         } else if (!(v = flagValue(arg, "--manifest")).empty()) {
             manifest_path = v;
         } else if (!(v = flagValue(arg, "--epoch")).empty()) {
-            opts.trace.epochCycles = std::stoul(v);
+            char *end = nullptr;
+            unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+            if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end ||
+                n > UINT32_MAX)
+                return badValue(arg);
+            opts.trace.epochCycles = static_cast<uint32_t>(n);
         } else if (std::strcmp(arg, "--report") == 0) {
             report = true;
         } else {

@@ -5,38 +5,55 @@
 namespace plast
 {
 
+namespace
+{
+
+/** Columns in [0, n) with parity q (0 = even, 1 = odd). */
+uint32_t
+colsWithParity(uint32_t n, uint32_t q)
+{
+    return (n + 1 - q) / 2;
+}
+
+} // namespace
+
+/*
+ * Both inverses below are closed forms over the checkerboard's row-major
+ * order. A pair of adjacent rows holds exactly cols() sites of each
+ * class, and within one row the sites of a class sit on every other
+ * column, starting at column (r + class) & 1 where class is 0 for PCUs
+ * and 1 for PMUs.
+ */
+
 uint32_t
 Geometry::unitIndexAt(uint32_t c, uint32_t r) const
 {
     panic_if(c >= cols() || r >= rows(), "site (%u,%u) out of grid", c, r);
-    // Count same-class sites scanning row-major up to (c, r).
-    uint32_t idx = 0;
-    bool want_pcu = siteIsPcu(c, r);
-    for (uint32_t rr = 0; rr <= r; ++rr) {
-        uint32_t cmax = (rr == r) ? c : cols();
-        for (uint32_t cc = 0; cc < cmax; ++cc) {
-            if (siteIsPcu(cc, rr) == want_pcu)
-                ++idx;
-        }
-    }
-    return idx;
+    // Same-class sites in the full row pairs above, in the odd row left
+    // over above (its class sites start on the column parity opposite
+    // to c's), then left of c in row r (the columns sharing c's parity).
+    uint32_t idx = (r / 2) * cols();
+    if (r & 1u)
+        idx += colsWithParity(cols(), (c & 1u) ^ 1u);
+    return idx + c / 2;
 }
 
 void
 Geometry::siteOf(UnitClass cls, uint32_t idx, uint32_t &c, uint32_t &r) const
 {
-    bool want_pcu = (cls == UnitClass::kPcu);
-    uint32_t seen = 0;
-    for (uint32_t rr = 0; rr < rows(); ++rr) {
-        for (uint32_t cc = 0; cc < cols(); ++cc) {
-            if (siteIsPcu(cc, rr) == want_pcu) {
-                if (seen == idx) {
-                    c = cc;
-                    r = rr;
-                    return;
-                }
-                ++seen;
-            }
+    const uint32_t cl = cls == UnitClass::kPcu ? 0u : 1u;
+    if (cols() > 0) {
+        uint32_t rr = 2 * (idx / cols());
+        uint32_t rem = idx % cols();
+        const uint32_t first = colsWithParity(cols(), cl);
+        if (rem >= first) {
+            rem -= first;
+            ++rr;
+        }
+        if (rr < rows()) {
+            c = 2 * rem + ((rr + cl) & 1u);
+            r = rr;
+            return;
         }
     }
     panic("siteOf: %s index %u out of range", unitClassName(cls).c_str(),

@@ -302,6 +302,27 @@ lowerAddrProgram(const std::vector<StageCfg> &stages, uint8_t resultReg,
         return false;
     };
 
+    auto add = [&](const AbsVal &a, const AbsVal &b) {
+        AbsVal res;
+        res.base = prog.add(a.base, b.base);
+        for (uint32_t i = 0; i < kMaxCtrs; ++i)
+            res.coeff[i] = prog.add(a.coeff[i], b.coeff[i]);
+        return res;
+    };
+    // Affine only when one side is run-constant; 2^32 is a ring, so
+    // the product distributes over the other side.
+    auto mul = [&](const AbsVal &a, const AbsVal &b, AbsVal &res) {
+        if (!a.runConst() && !b.runConst())
+            return false;
+        const AbsVal &affn = a.runConst() ? b : a;
+        const AbsVal &k = a.runConst() ? a : b;
+        res = AbsVal{};
+        res.base = prog.mul(affn.base, k.base);
+        for (uint32_t i = 0; i < kMaxCtrs; ++i)
+            res.coeff[i] = prog.mul(affn.coeff[i], k.base);
+        return true;
+    };
+
     for (const StageCfg &st : stages) {
         if (st.kind != StageKind::kMap || st.dstReg >= kMaxRegs)
             return false;
@@ -313,30 +334,28 @@ lowerAddrProgram(const std::vector<StageCfg> &stages, uint8_t resultReg,
             res = a;
             break;
           case FuOp::kIAdd:
+            res = add(a, b);
+            break;
           case FuOp::kISub:
-            res.base = st.op == FuOp::kIAdd ? prog.add(a.base, b.base)
-                                            : prog.op(FuOp::kISub, a.base,
-                                                      b.base, 0);
+            res.base = prog.op(FuOp::kISub, a.base, b.base, 0);
             for (uint32_t i = 0; i < kMaxCtrs; ++i) {
-                res.coeff[i] =
-                    st.op == FuOp::kIAdd
-                        ? prog.add(a.coeff[i], b.coeff[i])
-                        : (a.coeff[i] == 0 && b.coeff[i] == 0
-                               ? 0
-                               : prog.op(FuOp::kISub, a.coeff[i],
-                                         b.coeff[i], 0));
+                res.coeff[i] = a.coeff[i] == 0 && b.coeff[i] == 0
+                                   ? 0
+                                   : prog.op(FuOp::kISub, a.coeff[i],
+                                             b.coeff[i], 0);
             }
             break;
-          case FuOp::kIMul: {
-            // Affine only when one side is run-constant; 2^32 is a
-            // ring, so the product distributes over the other side.
-            if (!a.runConst() && !b.runConst())
+          case FuOp::kIMul:
+            if (!mul(a, b, res))
                 return false;
-            const AbsVal &affn = a.runConst() ? b : a;
-            const AbsVal &k = a.runConst() ? a : b;
-            res.base = prog.mul(affn.base, k.base);
-            for (uint32_t i = 0; i < kMaxCtrs; ++i)
-                res.coeff[i] = prog.mul(affn.coeff[i], k.base);
+            break;
+          case FuOp::kIMA: {
+            // a*b + c: the product is affine under the kIMul rule, and
+            // adding any affine c keeps it so.
+            AbsVal prod;
+            if (!mul(a, b, prod))
+                return false;
+            res = add(prod, c);
             break;
           }
           case FuOp::kShl:

@@ -19,12 +19,14 @@
 #ifndef PLAST_SIM_EXECPLAN_HPP
 #define PLAST_SIM_EXECPLAN_HPP
 
+#include <array>
 #include <utility>
 #include <vector>
 
 #include "arch/config.hpp"
 #include "base/types.hpp"
 #include "sim/fuexec.hpp"
+#include "sim/wavefront.hpp"
 
 namespace plast
 {
@@ -35,7 +37,7 @@ namespace plast
 enum class SimMode : uint8_t
 {
     kInterp,      ///< re-interpret StageCfg per lane (reference)
-    kSpecialized, ///< run pre-lowered ExecPlans (fast path)
+    kSpecialized, ///< run pre-lowered ExecPlans (fast path, default)
 };
 
 const char *simModeName(SimMode mode);
@@ -107,9 +109,9 @@ PcuExecPlan buildPcuPlan(const PcuCfg &cfg);
  * scalar inputs, values computed purely from them) is *run-constant* —
  * scalar inputs are popped only when a run completes, so they cannot
  * change between accesses of one run. When every stage preserves
- * affinity (add/sub always; mul/shl when one side is run-constant; any
- * op when all operands are run-constant), the whole program collapses
- * to
+ * affinity (add/sub always; mul/shl/ima when a multiplier side is
+ * run-constant; any op when all operands are run-constant), the whole
+ * program collapses to
  *
  *     addr = slots[base] + sum_i slots[coeff[i]] * ctr[i]   (mod 2^32)
  *
@@ -158,6 +160,18 @@ struct PmuAddrPlan
             out[i] = fuExec(s.op, src(s.aSrc, s.aVal), src(s.bSrc, s.bVal),
                             src(s.cSrc, s.cVal));
         }
+    }
+
+    /** The address for one counter snapshot, given the slot values
+     *  evalSlots produced for the current run. */
+    Word
+    address(const std::vector<Word> &runConsts,
+            const std::array<int64_t, kMaxCtrs> &ctr) const
+    {
+        Word addr = runConsts[baseSlot];
+        for (const auto &[level, slot] : terms)
+            addr += runConsts[slot] * static_cast<Word>(ctr[level]);
+        return addr;
     }
 };
 

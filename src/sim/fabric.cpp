@@ -65,11 +65,6 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
         }
     }
 
-    // Checkpoints are only exchangeable between fabrics built from the
-    // identical configuration (same placement, same routes); hash the
-    // canonical text form as the compatibility guard.
-    cfgHash_ = std::hash<std::string>{}(configToText(cfg_));
-
     buildChannels();
 
     // Pin host constants (argIn registers) to scalar input ports.
@@ -826,13 +821,28 @@ Fabric::heldStreams() const
     return held;
 }
 
+/**
+ * Checkpoints are only exchangeable between fabrics built from the
+ * identical configuration (same placement, same routes); the hash of
+ * the canonical text form is the compatibility guard. Rendering the
+ * whole config is not free, so it happens on the first checkpoint,
+ * not on every construction. `cfg_` never changes after construction.
+ */
+uint64_t
+Fabric::configHash()
+{
+    if (!cfgHash_)
+        cfgHash_ = std::hash<std::string>{}(configToText(cfg_));
+    return *cfgHash_;
+}
+
 FabricCheckpoint
 Fabric::saveCheckpoint()
 {
     ScopedSpan span("sim.checkpoint");
     FabricCheckpoint cp;
     cp.cycle = now_;
-    cp.cfgHash = cfgHash_;
+    cp.cfgHash = configHash();
     StateWriter w;
     serializeFabricState(w);
     cp.tape = w.takeTape();
@@ -843,7 +853,7 @@ Status
 Fabric::restoreCheckpoint(const FabricCheckpoint &cp)
 {
     ScopedSpan span("sim.restore");
-    if (cp.cfgHash != cfgHash_) {
+    if (cp.cfgHash != configHash()) {
         return Status(StatusCode::kInvalidArgument,
                       "checkpoint was taken from a differently "
                       "configured fabric");

@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -43,10 +44,12 @@ struct SimOptions
         kDense,    ///< tick every unit and stream each cycle
     };
     Mode mode = Mode::kActivity;
-    /** Datapath engine (sim/execplan.hpp): re-interpret the config per
-     *  lane, or run the pre-lowered execution plans. Orthogonal to
-     *  `mode`; every combination is bit-exact with every other. */
-    SimMode simMode = SimMode::kInterp;
+    /** Datapath engine (sim/execplan.hpp): run the pre-lowered
+     *  execution plans (default), or re-interpret the config per lane
+     *  (the reference engine parity checks select explicitly).
+     *  Orthogonal to `mode`; every combination is bit-exact with every
+     *  other. */
+    SimMode simMode = SimMode::kSpecialized;
     /** Dense mode only: fatal after this many cycles without progress.
      *  (Activity mode detects deadlock exactly: empty active set.) */
     uint32_t deadlockWindow = 50'000;
@@ -322,7 +325,9 @@ class Fabric
                    uint64_t &dramBusy) const;
 
     // ---- resilience state --------------------------------------------
-    uint64_t cfgHash_ = 0; ///< hash of the config text (checkpoint guard)
+    /** Hash of the config text (checkpoint guard), set on first use. */
+    std::optional<uint64_t> cfgHash_;
+    uint64_t configHash();
     resilience::FaultInjector *injector_ = nullptr;
     const CancelToken *cancel_ = nullptr;
     Cycles nextCancelCheckAt_ = 0;

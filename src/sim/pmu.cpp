@@ -330,9 +330,7 @@ PmuSim::portAccessPlanned(Port &port)
         });
         port.runConstsValid = true;
     }
-    Word base = port.runConsts[port.plan.addr.baseSlot];
-    for (const auto &[level, slot] : port.plan.addr.terms)
-        base += port.runConsts[slot] * static_cast<Word>(wf.ctr[level]);
+    const Word base = port.plan.addr.address(port.runConsts, wf.ctr);
 
     uint32_t access_mask = wf.mask;
     const uint32_t buf = port.bufIdx;

@@ -51,6 +51,73 @@ TEST(Geometry, SiteOfIsInverseOfUnitIndexAt)
     }
 }
 
+namespace
+{
+
+/** The row-major scan the closed forms replace: same-class sites
+ *  before (c, r). */
+uint32_t
+scanIndexAt(const Geometry &g, uint32_t c, uint32_t r)
+{
+    uint32_t idx = 0;
+    for (uint32_t rr = 0; rr <= r; ++rr) {
+        for (uint32_t cc = 0; cc < (rr == r ? c : g.cols()); ++cc) {
+            if (g.siteIsPcu(cc, rr) == g.siteIsPcu(c, r))
+                ++idx;
+        }
+    }
+    return idx;
+}
+
+} // namespace
+
+/** unitIndexAt and siteOf are closed forms; on every site of every
+ *  grid up to 9 x 9 (odd and even in both dimensions) they agree with
+ *  the row-major scan, and siteOf enumerates each class in scan
+ *  order. */
+TEST(Geometry, ClosedFormsMatchScanOnOddAndEvenGrids)
+{
+    for (uint32_t cols = 1; cols <= 9; ++cols) {
+        for (uint32_t rows = 1; rows <= 9; ++rows) {
+            ArchParams p;
+            p.gridCols = cols;
+            p.gridRows = rows;
+            Geometry g(p);
+            uint32_t next[2] = {0, 0}; // next PCU, PMU index in scan order
+            for (uint32_t r = 0; r < rows; ++r) {
+                for (uint32_t c = 0; c < cols; ++c) {
+                    const bool pcu = g.siteIsPcu(c, r);
+                    const uint32_t want = next[pcu ? 0 : 1]++;
+                    ASSERT_EQ(scanIndexAt(g, c, r), want);
+                    ASSERT_EQ(g.unitIndexAt(c, r), want)
+                        << cols << "x" << rows << " site (" << c << ","
+                        << r << ")";
+                    uint32_t cc = ~0u, rr = ~0u;
+                    g.siteOf(pcu ? UnitClass::kPcu : UnitClass::kPmu, want,
+                             cc, rr);
+                    ASSERT_EQ(cc, c) << cols << "x" << rows;
+                    ASSERT_EQ(rr, r) << cols << "x" << rows;
+                }
+            }
+            EXPECT_EQ(next[0], p.numPcus());
+            EXPECT_EQ(next[1], p.numPmus());
+        }
+    }
+}
+
+TEST(GeometryDeath, SiteOfPastLastUnitPanics)
+{
+    ArchParams p;
+    p.gridCols = 3;
+    p.gridRows = 3;
+    Geometry g(p);
+    uint32_t c = 0, r = 0;
+    EXPECT_DEATH(g.siteOf(UnitClass::kPcu, p.numPcus(), c, r),
+                 "out of range");
+    EXPECT_DEATH(g.siteOf(UnitClass::kPmu, p.numPmus(), c, r),
+                 "out of range");
+}
+
 TEST(Geometry, AgsLiveOnChipEdges)
 {
     ArchParams p;

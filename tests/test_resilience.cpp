@@ -566,7 +566,10 @@ TEST_P(CrossEngineCheckpoint, SnapshotRestoresAcrossEngines)
     apps::AppInstance app = appByName("GEMM");
     ArchParams params = eccParams(true);
 
-    Runner probe(app.prog, params);
+    // The cycle oracle runs the reference interpreter.
+    SimOptions reference;
+    reference.simMode = SimMode::kInterp;
+    Runner probe(app.prog, params, reference);
     app.load(probe);
     Runner::Result ref;
     ASSERT_TRUE(probe.tryRun(ref).ok());
