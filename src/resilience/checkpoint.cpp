@@ -11,7 +11,8 @@ namespace plast::resilience
 namespace
 {
 constexpr const char *kMagic = "plasticine_checkpoint";
-constexpr uint32_t kVersion = 1;
+/** 2: the memory system's bursts are a slot pool on the tape. */
+constexpr uint32_t kVersion = 2;
 } // namespace
 
 void

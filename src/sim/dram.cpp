@@ -8,6 +8,7 @@ namespace plast
 DramChannel::DramChannel(const DramParams &params, uint32_t index)
     : params_(params), index_(index), banks_(params.banksPerChannel)
 {
+    queue_.reserve(params_.queueDepth);
 }
 
 void

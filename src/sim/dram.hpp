@@ -13,7 +13,6 @@
 #define PLAST_SIM_DRAM_HPP
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -129,7 +128,11 @@ class DramChannel
 
     DramParams params_;
     uint32_t index_;
-    std::deque<Pending> queue_; ///< Pending::readyAt = submit time here
+    /** Oldest first; Pending::readyAt = submit time here. A vector
+     *  reserved to queueDepth: FR-FCFS erases from the middle of at
+     *  most queueDepth entries, so this never allocates after
+     *  construction. */
+    std::vector<Pending> queue_;
     std::vector<Bank> banks_;
     Cycles busFreeAt_ = 0;
     Ring<Pending> responses_;

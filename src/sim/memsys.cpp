@@ -320,19 +320,24 @@ AgSim::finishRun(Cycles now)
     return true;
 }
 
+template <class Cmd>
+Cmd &
+AgSim::inflight(std::deque<Cmd> &q, uint64_t cmdId, const char *what)
+{
+    // An id below the front wraps to a huge index, so one bound check
+    // rejects ids on both sides of the queue.
+    const uint64_t i = q.empty() ? 0 : cmdId - q.front().id;
+    panic_if(i >= q.size() || q[i].id != cmdId,
+             "AG %u: %s for unknown command %llu", index_, what,
+             static_cast<unsigned long long>(cmdId));
+    return q[i];
+}
+
 void
 AgSim::deliverWords(uint64_t cmdId, uint32_t wordOffset, const Word *data,
                     uint32_t count)
 {
-    // Commands are queued in id order (ids allocate monotonically and
-    // retire from the front), so the scan is a binary search.
-    auto it = std::lower_bound(
-        dense_.begin(), dense_.end(), cmdId,
-        [](const DenseCmd &cmd, uint64_t id) { return cmd.id < id; });
-    panic_if(it == dense_.end() || it->id != cmdId,
-             "AG %u: deliverWords for unknown command %llu", index_,
-             static_cast<unsigned long long>(cmdId));
-    DenseCmd &cmd = *it;
+    DenseCmd &cmd = inflight(dense_, cmdId, "deliverWords");
     panic_if(wordOffset + count > cmd.words,
              "AG %u: burst overflows command", index_);
     std::copy(data, data + count, cmd.data.begin() + wordOffset);
@@ -341,18 +346,14 @@ AgSim::deliverWords(uint64_t cmdId, uint32_t wordOffset, const Word *data,
 }
 
 void
-AgSim::deliverLane(uint64_t cmdId, uint32_t lane, Word data)
+AgSim::deliverLanes(uint64_t cmdId, const uint32_t *lanes, const Word *data,
+                    uint32_t n)
 {
-    auto it = std::lower_bound(
-        sparse_.begin(), sparse_.end(), cmdId,
-        [](const SparseCmd &cmd, uint64_t id) { return cmd.id < id; });
-    panic_if(it == sparse_.end() || it->id != cmdId,
-             "AG %u: deliverLane for unknown command %llu", index_,
-             static_cast<unsigned long long>(cmdId));
-    SparseCmd &cmd = *it;
-    cmd.data.lane[lane] = data;
-    panic_if(cmd.remaining == 0, "AG %u: extra lane delivery", index_);
-    --cmd.remaining;
+    SparseCmd &cmd = inflight(sparse_, cmdId, "deliverLanes");
+    panic_if(cmd.remaining < n, "AG %u: extra lane delivery", index_);
+    for (uint32_t i = 0; i < n; ++i)
+        cmd.data.lane[lanes[i]] = data[i];
+    cmd.remaining -= n;
     requestWake();
 }
 
@@ -375,12 +376,38 @@ MemSystem::MemSystem(const ArchParams &params)
 {
 }
 
-uint64_t
-MemSystem::allocBurst(Addr lineAddr, bool write)
+uint32_t
+MemSystem::allocBurst(Addr lineAddr, bool write, uint32_t cu)
 {
-    uint64_t id = nextBurst_++;
-    bursts_[id] = Burst{lineAddr, write, false, {}};
-    return id;
+    uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        slot = static_cast<uint32_t>(bursts_.size());
+        bursts_.emplace_back();
+    }
+    Burst &b = bursts_[slot];
+    b.id = nextBurst_++;
+    b.live = true;
+    b.lineAddr = lineAddr;
+    b.write = write;
+    b.issued = false;
+    b.waiters.clear();
+    b.cu = cu;
+    b.issuedAt = 0;
+    b.retries = 0;
+    b.notBefore = 0;
+    ++liveBursts_;
+    return slot;
+}
+
+void
+MemSystem::freeBurst(uint32_t slot)
+{
+    bursts_[slot].live = false;
+    freeSlots_.push_back(slot);
+    --liveBursts_;
 }
 
 bool
@@ -427,17 +454,12 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
         Addr startB = std::max<Addr>(line_byte, byteAddr);
         Addr endB = std::min<Addr>(line_byte + kBurstBytes,
                                    byteAddr + static_cast<Addr>(words) * 4);
-        uint64_t id = allocBurst(line_byte, write);
-        Waiter w{};
-        w.ag = ag;
-        w.cmdId = cmdId;
-        w.sparse = false;
-        w.wordOffset = static_cast<uint32_t>((startB - byteAddr) / 4);
-        w.wordCount = static_cast<uint32_t>((endB - startB) / 4);
-        w.lineOffset = startB;
-        bursts_[id].waiters.push_back(w);
-        bursts_[id].cu = cu;
-        c.issueQueue.push_back(id);
+        uint32_t slot = allocBurst(line_byte, write, cu);
+        bursts_[slot].waiters.push_back(
+            {ag, cmdId, startB,
+             static_cast<uint32_t>((startB - byteAddr) / 4),
+             static_cast<uint16_t>((endB - startB) / 4), false});
+        c.issueQueue.push_back(slot);
     }
     return true;
 }
@@ -463,14 +485,16 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
         Addr line = (byte_addr / kBurstBytes) * kBurstBytes;
 
         // Merge with a pending burst when possible.
-        auto it = c.mergeTable.find(line);
-        bool mergeable = false;
-        if (it != c.mergeTable.end()) {
-            auto bit = bursts_.find(it->second);
-            if (bit != bursts_.end() && bit->second.write == write &&
-                !(write && bit->second.issued))
-                mergeable = true;
+        MergeEntry *entry = nullptr;
+        for (MergeEntry &e : c.mergeTable) {
+            if (e.line == line) {
+                entry = &e;
+                break;
+            }
         }
+        const bool mergeable =
+            entry && bursts_[entry->slot].write == write &&
+            !(write && bursts_[entry->slot].issued);
         if (!mergeable &&
             (c.mergeTable.size() >= params_.coalescerCacheLines ||
              c.outstanding >= params_.coalescerMaxOutstanding)) {
@@ -485,25 +509,24 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
             stats_.bytesRead += 4;
         }
 
-        uint64_t id;
+        uint32_t slot;
         if (mergeable) {
-            id = it->second;
+            slot = entry->slot;
             ++stats_.coalescedLanes;
         } else {
-            id = allocBurst(line, write);
-            bursts_[id].cu = cu;
-            c.mergeTable[line] = id;
-            c.issueQueue.push_back(id);
+            // A line whose pending burst cannot merge (the other
+            // direction, or an issued scatter) moves its entry to the
+            // new burst; the old burst then completes without touching
+            // the entry.
+            slot = allocBurst(line, write, cu);
+            if (entry)
+                entry->slot = slot;
+            else
+                c.mergeTable.push_back({line, slot});
+            c.issueQueue.push_back(slot);
             ++c.outstanding;
         }
-        Waiter w{};
-        w.ag = ag;
-        w.cmdId = cmdId;
-        w.sparse = true;
-        w.lane = l;
-        w.byteAddr = byte_addr;
-        w.wordCount = 1;
-        bursts_[id].waiters.push_back(w);
+        bursts_[slot].waiters.push_back({ag, cmdId, byte_addr, l, 1, true});
         accepted |= (1u << l);
     }
     if (accepted) {
@@ -516,6 +539,42 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
 }
 
 void
+MemSystem::deliverRead(const Burst &b, Addr corruptByte, uint32_t corruptBit)
+{
+    const std::vector<Waiter> &ws = b.waiters;
+    for (size_t i = 0; i < ws.size();) {
+        const Waiter &w = ws[i];
+        if (w.sparse) {
+            // Consecutive lanes of one command go to the AG together:
+            // one command lookup and one wake per run of lanes.
+            std::array<uint32_t, kMaxLanes> lanes;
+            std::array<Word, kMaxLanes> data;
+            uint32_t n = 0;
+            for (; i < ws.size() && n < kMaxLanes && ws[i].sparse &&
+                   ws[i].ag == w.ag && ws[i].cmdId == w.cmdId;
+                 ++i, ++n) {
+                lanes[n] = ws[i].index;
+                data[n] = dram_.readWord(ws[i].addr);
+                if (ws[i].addr == corruptByte)
+                    data[n] ^= Word{1} << corruptBit;
+            }
+            w.ag->deliverLanes(w.cmdId, lanes.data(), data.data(), n);
+            continue;
+        }
+        std::array<Word, kBurstBytes / 4> buf;
+        panic_if(w.wordCount > buf.size(), "burst waiter wider than a line");
+        for (uint32_t k = 0; k < w.wordCount; ++k) {
+            Addr a = w.addr + static_cast<Addr>(k) * 4;
+            buf[k] = dram_.readWord(a);
+            if (a == corruptByte)
+                buf[k] ^= Word{1} << corruptBit;
+        }
+        w.ag->deliverWords(w.cmdId, w.index, buf.data(), w.wordCount);
+        ++i;
+    }
+}
+
+void
 MemSystem::step(Cycles now)
 {
     for (auto &c : cus_)
@@ -525,14 +584,14 @@ MemSystem::step(Cycles now)
     for (auto &c : cus_) {
         if (c.issueQueue.empty())
             continue;
-        uint64_t id = c.issueQueue.front();
-        Burst &b = bursts_.at(id);
+        const uint32_t slot = c.issueQueue.front();
+        Burst &b = bursts_[slot];
         if (b.notBefore > now)
             continue; // error-retry backoff window still open
         DramChannel &ch = dram_.channel(dram_.channelOf(b.lineAddr));
         if (!ch.canSubmit())
             continue;
-        ch.submit(DramReq{b.lineAddr, b.write, id}, now);
+        ch.submit(DramReq{b.lineAddr, b.write, slot}, now);
         b.issued = true;
         b.issuedAt = now;
         c.issueQueue.pop_front();
@@ -543,14 +602,16 @@ MemSystem::step(Cycles now)
     dram_.step(now, completed_);
 
     for (const DramReq &req : completed_) {
-        auto it = bursts_.find(req.tag);
-        panic_if(it == bursts_.end(), "DRAM completed unknown burst");
-        Burst &b = it->second;
+        const uint32_t slot = static_cast<uint32_t>(req.tag);
+        panic_if(req.tag >= bursts_.size() || !bursts_[slot].live,
+                 "DRAM completed unknown burst");
+        Burst &b = bursts_[slot];
 
         // Consult the fault model on read responses. Write data rides
         // the command path (CRC-protected, committed at submit), so
         // only read bursts can return corrupted.
-        uint32_t corruptWord = ~0u, corruptBit = 0;
+        Addr corruptByte = kNoCorrupt;
+        uint32_t corruptBit = 0;
         if (faultHook_ && !b.write) {
             MemFaultHook::BurstFault f =
                 faultHook_->onBurstResponse(b.lineAddr, now);
@@ -561,7 +622,9 @@ MemSystem::step(Cycles now)
                 ++stats_.dramCorrected;
                 break;
               case MemFaultHook::BurstAction::kCorrupt:
-                corruptWord = (f.bit / 32) % (kBurstBytes / 4);
+                corruptByte = b.lineAddr +
+                              static_cast<Addr>((f.bit / 32) %
+                                                (kBurstBytes / 4)) * 4;
                 corruptBit = f.bit % 32;
                 break;
               case MemFaultHook::BurstAction::kRetry: {
@@ -573,46 +636,35 @@ MemSystem::step(Cycles now)
                     now + (Cycles{params_.dram.tBurst} << std::min(
                                                             b.retries, 8u));
                 ++b.retries;
-                cus_.at(b.cu).issueQueue.push_back(req.tag);
+                cus_.at(b.cu).issueQueue.push_back(slot);
                 continue;
               }
             }
         }
-        const Addr corruptByte =
-            b.lineAddr + static_cast<Addr>(corruptWord) * 4;
-
-        for (const Waiter &w : b.waiters) {
-            if (b.write) {
+        if (b.write) {
+            for (const Waiter &w : b.waiters)
                 w.ag->ackWrite(w.cmdId, w.wordCount);
-            } else if (w.sparse) {
-                Word data = dram_.readWord(w.byteAddr);
-                if (corruptWord != ~0u && w.byteAddr == corruptByte)
-                    data ^= Word{1} << corruptBit;
-                w.ag->deliverLane(w.cmdId, w.lane, data);
-            } else {
-                std::array<Word, kBurstBytes / 4> buf;
-                panic_if(w.wordCount > buf.size(),
-                         "burst waiter wider than a line");
-                for (uint32_t i = 0; i < w.wordCount; ++i) {
-                    Addr a = w.lineOffset + static_cast<Addr>(i) * 4;
-                    buf[i] = dram_.readWord(a);
-                    if (corruptWord != ~0u && a == corruptByte)
-                        buf[i] ^= Word{1} << corruptBit;
-                }
-                w.ag->deliverWords(w.cmdId, w.wordOffset, buf.data(),
-                                   w.wordCount);
-            }
+        } else {
+            deliverRead(b, corruptByte, corruptBit);
         }
         CuState &c = cus_.at(b.cu);
         panic_if(c.outstanding == 0, "coalescer outstanding underflow");
         --c.outstanding;
         if (b.cu < cuTracks_.size())
             traceAsync(trace_, cuTracks_[b.cu], TraceName::kBurst,
-                       b.issuedAt, now + 1, req.tag);
-        auto mit = c.mergeTable.find(b.lineAddr);
-        if (mit != c.mergeTable.end() && mit->second == req.tag)
-            c.mergeTable.erase(mit);
-        bursts_.erase(it);
+                       b.issuedAt, now + 1, b.id);
+        // Drop the line's coalescing entry only if it still names this
+        // burst: a later non-mergeable burst may have taken it over.
+        for (MergeEntry &e : c.mergeTable) {
+            if (e.line == b.lineAddr) {
+                if (e.slot == slot) {
+                    e = c.mergeTable.back();
+                    c.mergeTable.pop_back();
+                }
+                break;
+            }
+        }
+        freeBurst(slot);
     }
 
     // Outstanding-burst counter per coalescing unit, on change only.
@@ -631,7 +683,7 @@ MemSystem::step(Cycles now)
 bool
 MemSystem::quiescent() const
 {
-    if (!bursts_.empty())
+    if (liveBursts_ != 0)
         return false;
     for (const auto &c : cus_) {
         if (!c.issueQueue.empty() || c.outstanding != 0)

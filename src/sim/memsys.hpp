@@ -11,7 +11,6 @@
 #define PLAST_SIM_MEMSYS_HPP
 
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -68,7 +67,9 @@ class AgSim : public SimUnit
     // Callbacks from the memory system.
     void deliverWords(uint64_t cmdId, uint32_t wordOffset, const Word *data,
                       uint32_t count);
-    void deliverLane(uint64_t cmdId, uint32_t lane, Word data);
+    /** `n` gathered lanes of one sparse command: lanes[i] gets data[i]. */
+    void deliverLanes(uint64_t cmdId, const uint32_t *lanes,
+                      const Word *data, uint32_t n);
     void ackWrite(uint64_t cmdId, uint32_t count);
 
     /** Work counters; cycle accounting lives in SimUnit::acct(). */
@@ -163,6 +164,11 @@ class AgSim : public SimUnit
     bool issueSparse(Cycles now);
     bool retrySparse();
     void drainResponses(Cycles now);
+    /** The in-flight command `cmdId`. Commands of one queue carry
+     *  consecutive ids (an AG runs in one mode, allocates ids in order
+     *  and retires from the front), so this is an index, not a search. */
+    template <class Cmd>
+    Cmd &inflight(std::deque<Cmd> &q, uint64_t cmdId, const char *what);
     bool finishRun(Cycles now);
 
     ArchParams params_;
@@ -272,6 +278,10 @@ class MemSystem : public SimObject
     };
     const Stats &stats() const { return stats_; }
 
+    /** Slots in the burst pool, live or free: the most bursts ever
+     *  outstanding at once, at most channels x coalescerMaxOutstanding. */
+    size_t burstSlots() const { return bursts_.size(); }
+
     /** Install (or clear) the DRAM response fault model. */
     void setFaultHook(MemFaultHook *hook) { faultHook_ = hook; }
 
@@ -283,20 +293,23 @@ class MemSystem : public SimObject
     }
 
   private:
+    /** One command's share of a burst (32 bytes). */
     struct Waiter
     {
         AgSim *ag;
         uint64_t cmdId;
+        Addr addr;          ///< sparse: word address; dense: first byte
+        uint32_t index;     ///< sparse: lane; dense: word offset in cmd
+        uint16_t wordCount; ///< words served by this burst
         bool sparse;
-        uint32_t lane;       ///< sparse: lane index
-        Addr byteAddr;       ///< sparse: word address
-        uint32_t wordOffset; ///< dense: offset into the command
-        uint32_t wordCount;  ///< dense: words served by this burst
-        Addr lineOffset;     ///< dense: first byte within the line
     };
 
+    /** One slot of the burst pool. A free slot keeps its waiters'
+     *  capacity, so a reused slot does not allocate. */
     struct Burst
     {
+        uint64_t id = 0;       ///< allocation order; the trace async id
+        bool live = false;     ///< false: on the free list
         Addr lineAddr = 0;
         bool write = false;
         bool issued = false;
@@ -307,21 +320,47 @@ class MemSystem : public SimObject
         Cycles notBefore = 0;  ///< backoff: earliest re-issue cycle
     };
 
+    /** Coalescing-cache entry: a pending line and its burst slot. */
+    struct MergeEntry
+    {
+        Addr line = 0;
+        uint32_t slot = 0;
+
+        template <class Ar>
+        void
+        serializeState(Ar &ar)
+        {
+            io(ar, line);
+            io(ar, slot);
+        }
+    };
+
     struct CuState
     {
         bool acceptedThisCycle = false;
         uint32_t outstanding = 0;
-        /** coalescing cache: pending line -> burst slot */
-        std::map<Addr, uint64_t> mergeTable;
-        Ring<uint64_t> issueQueue;
+        /** Coalescing cache: at most coalescerCacheLines entries with
+         *  distinct lines, unordered, searched linearly. */
+        std::vector<MergeEntry> mergeTable;
+        Ring<uint32_t> issueQueue; ///< burst slots
     };
 
-    uint64_t allocBurst(Addr lineAddr, bool write);
+    uint32_t allocBurst(Addr lineAddr, bool write, uint32_t cu);
+    void freeBurst(uint32_t slot);
+    /** No word of the burst is corrupted (deliverRead's corruptByte). */
+    static constexpr Addr kNoCorrupt = ~Addr{0};
+    /** Hand a completed read burst's words to its waiters, flipping
+     *  `corruptBit` of the word at `corruptByte`. */
+    void deliverRead(const Burst &b, Addr corruptByte, uint32_t corruptBit);
 
     ArchParams params_;
     DramModel dram_;
     std::vector<CuState> cus_;
-    std::map<uint64_t, Burst> bursts_;
+    /** Burst pool indexed by slot (= DramReq::tag). Live bursts are
+     *  bounded by coalescerMaxOutstanding per coalescing unit. */
+    std::vector<Burst> bursts_;
+    std::vector<uint32_t> freeSlots_;
+    uint32_t liveBursts_ = 0;
     uint64_t nextBurst_ = 1;
     std::vector<DramReq> completed_;
     std::vector<uint16_t> cuTracks_;     ///< empty when tracing is off
@@ -349,25 +388,15 @@ class MemSystem : public SimObject
         uint64_t n = bursts_.size();
         io(ar, n);
         if constexpr (!Ar::kSaving)
-            bursts_.clear();
-        if constexpr (Ar::kSaving)
+            bursts_.resize(n);
+        for (Burst &b : bursts_)
         {
-            for (auto &kv : bursts_)
-            {
-                uint64_t id = kv.first;
-                io(ar, id);
-                serializeBurst(ar, kv.second, agIndexOf, agPtrOf);
-            }
+            io(ar, b.live);
+            if (b.live)
+                serializeBurst(ar, b, agIndexOf, agPtrOf);
         }
-        else
-        {
-            for (uint64_t i = 0; i < n; ++i)
-            {
-                uint64_t id = 0;
-                io(ar, id);
-                serializeBurst(ar, bursts_[id], agIndexOf, agPtrOf);
-            }
-        }
+        io(ar, freeSlots_);
+        io(ar, liveBursts_);
         io(ar, nextBurst_);
         io(ar, stats_);
         dram_.serializeState(ar);
@@ -378,6 +407,7 @@ class MemSystem : public SimObject
     void
     serializeBurst(Ar &ar, Burst &b, AgToIdx agIndexOf, IdxToAg agPtrOf)
     {
+        io(ar, b.id);
         io(ar, b.lineAddr);
         io(ar, b.write);
         io(ar, b.issued);
@@ -398,12 +428,10 @@ class MemSystem : public SimObject
             if constexpr (!Ar::kSaving)
                 w.ag = agPtrOf(agIdx);
             io(ar, w.cmdId);
-            io(ar, w.sparse);
-            io(ar, w.lane);
-            io(ar, w.byteAddr);
-            io(ar, w.wordOffset);
+            io(ar, w.addr);
+            io(ar, w.index);
             io(ar, w.wordCount);
-            io(ar, w.lineOffset);
+            io(ar, w.sparse);
         }
     }
 };

@@ -540,11 +540,25 @@ TEST_P(CheckpointRestore, MidRunSnapshotResumesBitAndCycleExact)
     for (Addr a = 0; a < orig->dram().sizeBytes(); a += sizeof(Word))
         ASSERT_EQ(fresh.dram().readWord(a), orig->dram().readWord(a))
             << "DRAM word at byte " << a;
+    // The coalescer's counters are architectural: a snapshot that lost
+    // a pending burst or coalescing entry re-issues or stops merging.
+    const MemSystem::Stats &fm = fresh.mem().stats();
+    const MemSystem::Stats &om = orig->mem().stats();
+    EXPECT_EQ(fm.bursts, om.bursts);
+    EXPECT_EQ(fm.coalescedLanes, om.coalescedLanes);
+    EXPECT_EQ(fm.sparseCmds, om.sparseCmds);
+    EXPECT_EQ(fm.denseCmds, om.denseCmds);
+    EXPECT_EQ(fm.bytesRead, om.bytesRead);
+    EXPECT_EQ(fm.bytesWritten, om.bytesWritten);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreeApps, CheckpointRestore,
                          ::testing::Values("InnerProduct", "GEMM",
                                            "Kmeans"));
+// Gather apps: the snapshot catches live sparse bursts, coalescing
+// entries and partly delivered gather vectors.
+INSTANTIATE_TEST_SUITE_P(GatherApps, CheckpointRestore,
+                         ::testing::Values("SMDV", "PageRank"));
 
 // ---- satellite: checkpoints cross the datapath-engine boundary ------
 
