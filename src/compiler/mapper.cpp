@@ -1325,6 +1325,21 @@ Mapper::createPmus()
 
             // Remember the PMU of transfer readers/writers for AG wiring.
             pmuOfReader_[{mid, rd.node, rd.vecSource}] = pmu_idx;
+
+            // Each port's address program runs on the PMU's own
+            // datapath, which has a fixed number of stages.
+            for (const PmuPortCfg *pc : {&cfg.read, &cfg.write,
+                                         &cfg.write2}) {
+                if (pc->enabled && pc->addrStages.size() > P_.pmu.stages) {
+                    failBinding("pmu.stages",
+                                strfmt("PMU %s: %zu address stages exceed "
+                                       "the %u physical stages",
+                                       cfg.name.c_str(),
+                                       pc->addrStages.size(),
+                                       P_.pmu.stages));
+                    return;
+                }
+            }
         }
     }
 }

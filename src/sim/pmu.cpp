@@ -36,7 +36,8 @@ PmuSim::PmuSim(const ArchParams &params, uint32_t index, const PmuCfg &cfg,
         port.activeScratch.reserve(lanes_);
         port.plan = buildPmuPortPlan(pcfg, write, cfg_.scratch,
                                      params.pmu.banks, lanes_);
-        fatal_if(pcfg.enabled &&
+        // The mapper rejects longer programs (kCompileError).
+        panic_if(pcfg.enabled &&
                      pcfg.addrStages.size() > params.pmu.stages,
                  "PMU %u: %zu address stages exceed the %u physical stages",
                  index, pcfg.addrStages.size(), params.pmu.stages);

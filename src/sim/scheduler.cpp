@@ -1,7 +1,9 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 
+#include "base/logging.hpp"
 #include "sim/stream.hpp"
 
 namespace plast
@@ -31,6 +33,12 @@ Scheduler::addStream(StreamBase *s)
     s->sched_ = this;
     s->seq_ = nextSeq_++;
     allStreams_.push_back(s);
+    // Timers sit at most latency - 1 cycles ahead: a wheel larger
+    // than every latency never aliases two live cycles in one bucket.
+    if (s->latency() >= wheel_.size()) {
+        panic_if(timers_ != 0, "stream registered with timers armed");
+        wheel_.resize(std::bit_ceil(size_t{s->latency()} + 1));
+    }
 }
 
 void
@@ -43,7 +51,9 @@ Scheduler::rearmAll()
     for (SimObject *u : run_)
         u->inRun_ = true;
     dirty_.clear();
-    timers_.clear();
+    for (auto &bucket : wheel_)
+        bucket.clear();
+    timers_ = 0;
     for (StreamBase *s : allStreams_)
     {
         s->inDirty_ = false;
@@ -64,27 +74,17 @@ Scheduler::streamDirty(StreamBase *s)
     dirty_.push_back(s);
 }
 
-namespace
-{
-struct TimerAfter
-{
-    bool
-    operator()(const std::pair<Cycles, StreamBase *> &a,
-               const std::pair<Cycles, StreamBase *> &b) const
-    {
-        return a.first > b.first;
-    }
-};
-} // namespace
-
 void
 Scheduler::scheduleArrival(Cycles cycle, StreamBase *s)
 {
     if (s->armedAt_ == cycle)
         return;
+    panic_if(cycle <= curCycle_ || cycle - curCycle_ >= wheel_.size(),
+             "stream %s: arrival at cycle %llu is off the timing wheel",
+             s->name().c_str(), static_cast<unsigned long long>(cycle));
     s->armedAt_ = cycle;
-    timers_.emplace_back(cycle, s);
-    std::push_heap(timers_.begin(), timers_.end(), TimerAfter{});
+    wheel_[cycle & (wheel_.size() - 1)].push_back(s);
+    ++timers_;
 }
 
 void
@@ -92,22 +92,26 @@ Scheduler::applyWakes()
 {
     if (wakePending_.empty())
         return;
-    bool added = false;
+    woken_.clear();
     for (SimObject *u : wakePending_) {
         u->wakeQueued_ = false;
         if (!u->inRun_) {
             u->inRun_ = true;
-            run_.push_back(u);
-            added = true;
+            woken_.push_back(u);
         }
     }
     wakePending_.clear();
-    if (added) {
-        std::sort(run_.begin(), run_.end(),
-                  [](const SimObject *a, const SimObject *b) {
-                      return a->seq_ < b->seq_;
-                  });
-    }
+    if (woken_.empty())
+        return;
+    // run_ is already seq-sorted: sort only the newcomers and merge.
+    auto bySeq = [](const SimObject *a, const SimObject *b) {
+        return a->seq_ < b->seq_;
+    };
+    std::sort(woken_.begin(), woken_.end(), bySeq);
+    merged_.resize(run_.size() + woken_.size());
+    std::merge(run_.begin(), run_.end(), woken_.begin(), woken_.end(),
+               merged_.begin(), bySeq);
+    run_.swap(merged_);
 }
 
 void
@@ -115,14 +119,19 @@ Scheduler::runCycle(Cycles now)
 {
     curCycle_ = now;
 
-    // Due arrival timers feed this cycle's commit phase.
-    while (!timers_.empty() && timers_.front().first <= now) {
-        std::pop_heap(timers_.begin(), timers_.end(), TimerAfter{});
-        auto [cycle, s] = timers_.back();
-        timers_.pop_back();
-        if (s->armedAt_ == cycle)
-            s->armedAt_ = kNeverCycle;
-        streamDirty(s);
+    // Due arrival timers feed this cycle's commit phase. Callers never
+    // step past a pending timer (fast-forward stops at
+    // nextEventCycle()), so this cycle's bucket holds every due entry.
+    if (timers_ != 0) {
+        std::vector<StreamBase *> &bucket =
+            wheel_[now & (wheel_.size() - 1)];
+        for (StreamBase *s : bucket) {
+            if (s->armedAt_ == now)
+                s->armedAt_ = kNeverCycle;
+            streamDirty(s);
+        }
+        timers_ -= bucket.size();
+        bucket.clear();
     }
 
     // Phase 1: evaluate awake units in deterministic order. A unit is
@@ -188,20 +197,25 @@ bool
 Scheduler::idle() const
 {
     return run_.empty() && wakePending_.empty() && dirty_.empty() &&
-           timers_.empty() && !memBusy_ && !memWork_;
+           timers_ == 0 && !memBusy_ && !memWork_;
 }
 
 bool
 Scheduler::canFastForward() const
 {
     return run_.empty() && wakePending_.empty() && dirty_.empty() &&
-           !memBusy_ && !memWork_ && !timers_.empty();
+           !memBusy_ && !memWork_ && timers_ != 0;
 }
 
 Cycles
 Scheduler::nextEventCycle() const
 {
-    return timers_.empty() ? kNeverCycle : timers_.front().first;
+    // Live timers lie in (curCycle_, curCycle_ + wheel size).
+    for (size_t d = 1; timers_ != 0 && d < wheel_.size(); ++d) {
+        if (!wheel_[(curCycle_ + d) & (wheel_.size() - 1)].empty())
+            return curCycle_ + d;
+    }
+    return kNeverCycle;
 }
 
 } // namespace plast

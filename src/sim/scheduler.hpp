@@ -15,6 +15,13 @@
  *    own arrival cycle, so fully idle regions cost zero per-cycle
  *    work and can be skipped wholesale (fast-forward).
  *
+ * Arrival timers live on a hashed timing wheel (Varghese & Lauck,
+ * SOSP 1987): one bucket per cycle modulo a power of two larger than
+ * the largest registered stream latency. A commit at cycle `now` arms
+ * its stream at most `latency - 1` cycles ahead, so the live timers
+ * never alias a bucket: arming and firing are O(1), and only a
+ * fast-forward scans the wheel for the next event.
+ *
  * Deadlock detection falls out of the design: an empty active set
  * (no runnable unit, quiet memory, no dirty stream, no pending
  * arrival) while the root controller is incomplete IS the deadlock
@@ -30,7 +37,6 @@
 #ifndef PLAST_SIM_SCHEDULER_HPP
 #define PLAST_SIM_SCHEDULER_HPP
 
-#include <utility>
 #include <vector>
 
 #include "base/trace.hpp"
@@ -124,6 +130,8 @@ class Scheduler
     uint32_t nextSeq_ = 0;
     std::vector<SimObject *> run_;         ///< awake units, seq-sorted
     std::vector<SimObject *> wakePending_; ///< wakes for next cycle
+    std::vector<SimObject *> woken_;       ///< scratch for applyWakes
+    std::vector<SimObject *> merged_;      ///< scratch for applyWakes
     std::vector<SimObject *> allUnits_;    ///< every registered unit
     std::vector<StreamBase *> allStreams_; ///< every registered stream
     SimObject *mem_ = nullptr;
@@ -131,17 +139,20 @@ class Scheduler
     bool memWork_ = false; ///< memory phase forced this cycle
     std::vector<StreamBase *> dirty_;      ///< commit next commit phase
     std::vector<StreamBase *> commitRun_;  ///< scratch for runCycle
-    /** Min-heap of pending arrival commits (cycle, stream). Entries
-     *  are lazily invalidated: a stream re-armed to a different cycle
-     *  leaves its old entry behind, which fires as a harmless no-op
-     *  commit — exactly the semantics the old per-cycle map had. */
-    std::vector<std::pair<Cycles, StreamBase *>> timers_;
+    /** Timing wheel of pending arrival commits: bucket `c & mask`
+     *  holds the streams due at cycle c. Entries are lazily
+     *  invalidated: a stream re-armed to a different cycle leaves its
+     *  old entry behind, which fires as a harmless no-op commit. */
+    std::vector<std::vector<StreamBase *>> wheel_;
+    size_t timers_ = 0; ///< entries on the wheel
     std::vector<StreamBase *> deliveredHost_;
     bool progress_ = false;
 
     TraceSink *trace_ = nullptr;
     uint16_t traceTrack_ = 0;
-    Cycles curCycle_ = 0;       ///< timestamp for wake instants
+    /** Cycle of the current / last runCycle: timestamp for wake
+     *  instants and the origin of the timing wheel. */
+    Cycles curCycle_ = 0;
     size_t lastActiveSet_ = ~size_t{0};
 };
 

@@ -19,6 +19,11 @@
  * element is due to arrive; each commit reports delivery/drain effects
  * so the scheduler can wake the consumer/producer unit, and re-arms a
  * timer for the next pending arrival.
+ *
+ * Storage is one ring of {arrival, value} slots split by cursors into
+ * receiver FIFO, in-flight and staged regions: an element is written
+ * once at push and read in place at front(), and commit() only moves
+ * cursors (DESIGN.md §8).
  */
 
 #ifndef PLAST_SIM_STREAM_HPP
@@ -26,9 +31,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "base/logging.hpp"
-#include "base/ring.hpp"
 #include "base/stateio.hpp"
 #include "base/types.hpp"
 #include "sim/scheduler.hpp"
@@ -132,8 +137,7 @@ class Stream : public StreamBase
     bool
     canPush() const
     {
-        return inFlight_.size() + queue_.size() + stagedPushes_ <
-               latency_ + capacity_;
+        return tail_ - head_ < latency_ + capacity_;
     }
 
     /** Stage a push; the element arrives `latency` cycles later. */
@@ -142,8 +146,9 @@ class Stream : public StreamBase
     {
         panic_if(!canPush(), "stream %s: push on full stream",
                  name_.c_str());
-        pushBuf_.push_back(v);
-        ++stagedPushes_;
+        if (tail_ - head_ == slots_.size())
+            grow();
+        at(tail_++).value = v;
         ++stats_.pushes;
         markDirty();
     }
@@ -152,14 +157,13 @@ class Stream : public StreamBase
     bool
     canPop() const
     {
-        return queue_.size() > stagedPops_;
+        return delivered_ - head_ > stagedPops_;
     }
 
     size_t
     available() const override
     {
-        return queue_.size() > stagedPops_ ? queue_.size() - stagedPops_
-                                           : 0;
+        return canPop() ? delivered_ - head_ - stagedPops_ : 0;
     }
 
     const T &
@@ -167,7 +171,7 @@ class Stream : public StreamBase
     {
         panic_if(!canPop(), "stream %s: front on empty stream",
                  name_.c_str());
-        return queue_[stagedPops_];
+        return at(head_ + stagedPops_).value;
     }
 
     void
@@ -184,7 +188,9 @@ class Stream : public StreamBase
     void
     preload(const T &v)
     {
-        queue_.push_back(v);
+        insert(delivered_, Slot{0, v});
+        ++delivered_;
+        ++committed_;
     }
 
     /** Commit phase: apply staged pops/pushes and advance arrivals. */
@@ -192,24 +198,21 @@ class Stream : public StreamBase
     commit(Cycles now) override
     {
         CommitResult res;
-        if (stagedPops_ > 0)
+        if (stagedPops_ > 0) {
             res.drained = true;
-        while (stagedPops_ > 0) {
-            queue_.pop_front();
-            --stagedPops_;
+            head_ += stagedPops_;
+            stagedPops_ = 0;
         }
-        for (auto &v : pushBuf_)
-            inFlight_.push_back({now + latency_, std::move(v)});
-        pushBuf_.clear();
-        stagedPushes_ = 0;
-        while (!inFlight_.empty() && inFlight_.front().arrival <= now + 1 &&
-               queue_.size() < capacity_) {
-            stats_.fullStallCycles += now + 1 - inFlight_.front().arrival;
-            queue_.push_back(std::move(inFlight_.front().value));
-            inFlight_.pop_front();
+        for (; committed_ != tail_; ++committed_)
+            at(committed_).arrival = now + latency_;
+        while (delivered_ != committed_ &&
+               at(delivered_).arrival <= now + 1 &&
+               delivered_ - head_ < capacity_) {
+            stats_.fullStallCycles += now + 1 - at(delivered_).arrival;
+            ++delivered_;
             res.delivered = true;
         }
-        uint64_t occ = inFlight_.size() + queue_.size();
+        uint64_t occ = committed_ - head_;
         if (occ > stats_.peakOccupancy)
             stats_.peakOccupancy = occ;
         if (trace_ && occ != lastTracedOcc_) {
@@ -220,19 +223,15 @@ class Stream : public StreamBase
         // A stalled arrival (due but the FIFO is full) needs no timer:
         // the consumer's pop dirties the stream and the same commit
         // both frees the slot and moves the element in.
-        if (!inFlight_.empty() && inFlight_.front().arrival > now + 1)
-            res.nextArrival = inFlight_.front().arrival - 1;
+        if (delivered_ != committed_ && at(delivered_).arrival > now + 1)
+            res.nextArrival = at(delivered_).arrival - 1;
         return res;
     }
 
     /** Dense-tick compatibility: commit unconditionally. */
     void tick(Cycles now) { commit(now); }
 
-    bool
-    quiescent() const override
-    {
-        return inFlight_.empty() && queue_.empty() && stagedPushes_ == 0;
-    }
+    bool quiescent() const override { return tail_ == head_; }
 
     /**
      * Fault injection: silently lose one element (a switch-register
@@ -242,31 +241,28 @@ class Stream : public StreamBase
     bool
     injectDrop()
     {
-        if (!queue_.empty())
-        {
-            queue_.pop_front();
-            return true;
-        }
-        if (!inFlight_.empty())
-        {
-            inFlight_.pop_front();
-            return true;
-        }
-        return false;
+        if (head_ == committed_)
+            return false;
+        // An empty queue means the head is the oldest in-flight slot.
+        if (head_ == delivered_)
+            ++delivered_;
+        ++head_;
+        return true;
     }
 
     /** Fault injection: replay (duplicate) the head element. */
     bool
     injectDuplicate()
     {
-        if (!queue_.empty() && queue_.size() < capacity_)
-        {
-            queue_.push_back(queue_.front());
+        if (delivered_ != head_ && delivered_ - head_ < capacity_) {
+            insert(delivered_, at(head_));
+            ++delivered_;
+            ++committed_;
             return true;
         }
-        if (!inFlight_.empty())
-        {
-            inFlight_.push_back(inFlight_.back());
+        if (committed_ != delivered_) {
+            insert(committed_, at(committed_ - 1));
+            ++committed_;
             return true;
         }
         return false;
@@ -275,25 +271,47 @@ class Stream : public StreamBase
     /**
      * Checkpoint the stream. Only legal at a cycle boundary, where
      * staged traffic is provably empty (every push/pop commits in the
-     * same cycle it was staged).
+     * same cycle it was staged). The tape holds the in-flight count and
+     * (arrival, value) pairs, then the queue count and values.
      */
     template <class Ar>
     void
     serializeState(Ar &ar)
     {
-        panic_if(stagedPushes_ != 0 || stagedPops_ != 0 ||
-                     !pushBuf_.empty(),
+        panic_if(committed_ != tail_ || stagedPops_ != 0,
                  "stream %s: checkpoint with staged traffic",
                  name_.c_str());
-        io(ar, inFlight_);
-        io(ar, queue_);
+        if constexpr (Ar::kSaving) {
+            uint64_t n = committed_ - delivered_;
+            io(ar, n);
+            for (uint32_t c = delivered_; c != committed_; ++c)
+                io(ar, at(c));
+            n = delivered_ - head_;
+            io(ar, n);
+            for (uint32_t c = head_; c != delivered_; ++c)
+                io(ar, at(c).value);
+        } else {
+            std::vector<Slot> flight;
+            io(ar, flight);
+            uint64_t queued = 0;
+            io(ar, queued);
+            head_ = delivered_ = committed_ = tail_ = 0;
+            while (slots_.size() < queued + flight.size())
+                grow();
+            for (; delivered_ != queued; ++delivered_)
+                io(ar, at(delivered_).value);
+            committed_ = delivered_;
+            for (Slot &s : flight)
+                at(committed_++) = std::move(s);
+            tail_ = committed_;
+        }
         io(ar, stats_);
     }
 
   private:
-    struct InFlight
+    struct Slot
     {
-        Cycles arrival;
+        Cycles arrival; ///< cycle the element reaches the receiver
         T value;
 
         template <class Ar>
@@ -305,10 +323,49 @@ class Stream : public StreamBase
         }
     };
 
-    Ring<InFlight> inFlight_;
-    Ring<T> queue_;
-    Ring<T> pushBuf_;
-    uint32_t stagedPushes_ = 0;
+    Slot &at(uint32_t c) { return slots_[c & (slots_.size() - 1)]; }
+    const Slot &
+    at(uint32_t c) const
+    {
+        return slots_[c & (slots_.size() - 1)];
+    }
+
+    /** Double the ring (lazily: it only grows on a full push). Cursors
+     *  are free-running, so each slot just moves to its new index. */
+    void
+    grow()
+    {
+        std::vector<Slot> next(slots_.empty() ? 4 : slots_.size() * 2);
+        for (uint32_t c = head_; c != tail_; ++c)
+            next[c & (next.size() - 1)] = std::move(at(c));
+        slots_ = std::move(next);
+    }
+
+    /** Insert `s` before cursor `pos`, shifting [pos, tail) back one
+     *  slot. The caller advances the cursors the new slot lies behind.
+     *  Only the rare preload and fault paths insert. */
+    void
+    insert(uint32_t pos, Slot s)
+    {
+        if (tail_ - head_ == slots_.size())
+            grow();
+        for (uint32_t c = tail_; c != pos; --c)
+            at(c) = std::move(at(c - 1));
+        at(pos) = std::move(s);
+        ++tail_;
+    }
+
+    /**
+     * One power-of-two ring; free-running cursors split it into
+     * [head, delivered): the receiver FIFO (front at head + stagedPops),
+     * [delivered, committed): in flight, stamped with arrival cycles,
+     * [committed, tail): pushes staged this cycle.
+     */
+    std::vector<Slot> slots_;
+    uint32_t head_ = 0;
+    uint32_t delivered_ = 0;
+    uint32_t committed_ = 0;
+    uint32_t tail_ = 0;
     uint32_t stagedPops_ = 0;
 };
 

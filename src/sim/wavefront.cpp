@@ -34,8 +34,11 @@ ChainState::issueInto(Wavefront &wf)
 
     panic_if(done_, "issue on completed chain");
 
+    int64_t *cur = cur_.data();
+    const int64_t *bound = bounds_.data();
+    const Level *lvl = levels_.data();
     for (size_t i = 0; i < n; ++i)
-        wf.ctr[i] = cur_[i];
+        wf.ctr[i] = cur[i];
 
     // Lane validity: non-vectorized chains issue a full wavefront whose
     // every lane sees the same indices; vectorized chains mask lanes at
@@ -48,8 +51,11 @@ ChainState::issueInto(Wavefront &wf)
         if (inner.step > 0) {
             // Valid lanes are the contiguous prefix where
             // cur + l*step < bound: ceil((bound - cur) / step) lanes.
-            int64_t left = bounds_[n - 1] - cur_[n - 1];
-            if (left > 0) {
+            // Only a partial last wavefront pays for the division.
+            int64_t left = bound[n - 1] - cur[n - 1];
+            if (left >= lvl[n - 1].per) {
+                wf.mask = full;
+            } else if (left > 0) {
                 int64_t k = (left + inner.step - 1) / inner.step;
                 wf.mask = k >= lanes_ ? full
                                       : (1u << static_cast<uint32_t>(k)) - 1;
@@ -57,8 +63,8 @@ ChainState::issueInto(Wavefront &wf)
         } else {
             for (uint32_t l = 0; l < lanes_; ++l) {
                 int64_t v =
-                    cur_[n - 1] + static_cast<int64_t>(l) * inner.step;
-                if (v < bounds_[n - 1])
+                    cur[n - 1] + static_cast<int64_t>(l) * inner.step;
+                if (v < bound[n - 1])
                     wf.setValid(l);
             }
         }
@@ -69,40 +75,22 @@ ChainState::issueInto(Wavefront &wf)
     // First/last flags per level: level k is "first" when counters
     // k..n-1 are all at their starting value, "last" when this is the
     // final wavefront for counters k..n-1.
-    bool first_inner = true, last_inner = true;
-    std::array<bool, kMaxCtrs> first{}, last{};
+    bool first = true, last = true;
     for (size_t i = n; i-- > 0;) {
-        const CounterCfg &cc = cfg_.ctrs[i];
-        int64_t per = (cc.vectorized ? cc.step * lanes_ : cc.step);
-        bool at_min = cur_[i] == cc.min;
-        bool at_last = cur_[i] + per >= bounds_[i];
-        first[i] = at_min && first_inner;
-        last[i] = at_last && last_inner;
-        first_inner = first[i];
-        last_inner = last[i];
-    }
-    for (size_t i = 0; i < n; ++i) {
-        if (first[i])
-            wf.firstLevels |= (1u << i);
-        if (last[i])
-            wf.lastLevels |= (1u << i);
+        first = first && cur[i] == lvl[i].min;
+        last = last && cur[i] + lvl[i].per >= bound[i];
+        wf.firstLevels |= static_cast<uint16_t>(first) << i;
+        wf.lastLevels |= static_cast<uint16_t>(last) << i;
     }
 
     // Advance the chain (innermost fastest).
     for (size_t i = n; i-- > 0;) {
-        const CounterCfg &cc = cfg_.ctrs[i];
-        int64_t per = (cc.vectorized ? cc.step * lanes_ : cc.step);
-        cur_[i] += per;
-        if (cur_[i] < bounds_[i])
+        cur[i] += lvl[i].per;
+        if (cur[i] < bound[i])
             return;
-        cur_[i] = cc.min;
+        cur[i] = lvl[i].min;
     }
     done_ = true;
 }
-
-namespace
-{
-// Ensure Wavefront helpers referenced above are instantiated.
-} // namespace
 
 } // namespace plast

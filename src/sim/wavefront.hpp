@@ -94,6 +94,10 @@ class ChainState
         cfg_ = cfg;
         lanes_ = lanes;
         panic_if(cfg.ctrs.size() > kMaxCtrs, "counter chain too deep");
+        levels_.clear();
+        for (const CounterCfg &cc : cfg.ctrs)
+            levels_.push_back(
+                {cc.vectorized ? cc.step * lanes : cc.step, cc.min});
     }
 
     /** Begin a run; `bounds` are the resolved per-counter maxima. */
@@ -154,6 +158,14 @@ class ChainState
 
     ChainCfg cfg_;
     uint32_t lanes_ = 1;
+    /** Per level, cached at configure: the advance per wavefront
+     *  (step, times lanes when vectorized) and the start value. */
+    struct Level
+    {
+        int64_t per;
+        int64_t min;
+    };
+    std::vector<Level> levels_;
     std::vector<int64_t> cur_;
     std::vector<int64_t> bounds_;
     bool done_ = true;

@@ -133,8 +133,10 @@ TEST(Chain, NonUnitStep)
     EXPECT_EQ(seen, (std::vector<int64_t>{4, 7, 10, 13, 16, 19}));
 }
 
-/** Property: wavefront count and per-level boundary flags agree with
- *  direct enumeration for random chains. */
+/** Property: every wavefront (counter snapshot, lane mask, per-level
+ *  first/last flags) agrees with direct enumeration for random chains:
+ *  nonzero starts, steps above 1, and vectorized innermost counters
+ *  whose bound is rarely a multiple of lanes x step. */
 class RandomChains : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -142,36 +144,73 @@ class RandomChains : public ::testing::TestWithParam<uint64_t>
 TEST_P(RandomChains, MatchesNaiveEnumeration)
 {
     Rng rng(GetParam());
+    const uint32_t lanes = GetParam() % 3 == 0 ? 4 : 16;
     ChainCfg cfg;
     size_t depth = 1 + rng.nextBounded(3);
     std::vector<int64_t> bounds;
-    int64_t expect = 1;
+    // Per level: the values it takes, in order.
+    std::vector<std::vector<int64_t>> values(depth);
     for (size_t i = 0; i < depth; ++i) {
-        int64_t max = 1 + static_cast<int64_t>(rng.nextBounded(9));
-        bool vec = (i == depth - 1) && (rng.nextBounded(2) == 0);
-        cfg.ctrs.push_back({0, 1, max, vec, -1, 1});
+        int64_t min = static_cast<int64_t>(rng.nextBounded(3));
+        int64_t step = 1 + static_cast<int64_t>(rng.nextBounded(3));
+        bool vec = (i == depth - 1) && (rng.nextBounded(4) != 0);
+        int64_t max = min + 1 +
+                      static_cast<int64_t>(rng.nextBounded(vec ? 80 : 9));
+        cfg.ctrs.push_back({min, step, max, vec, -1, 1});
         bounds.push_back(max);
-        expect *= vec ? (max + 15) / 16 : max;
+        int64_t per = vec ? step * lanes : step;
+        for (int64_t v = min; v < max; v += per)
+            values[i].push_back(v);
     }
+    const CounterCfg &inner = cfg.ctrs.back();
+    const uint32_t full = (1u << lanes) - 1;
+
     ChainState cs;
-    cs.configure(cfg, 16);
+    cs.configure(cfg, lanes);
     cs.reset(bounds);
+    // Odometer over value indices, innermost fastest.
+    std::vector<size_t> idx(depth, 0);
     int64_t n = 0;
-    int innermost_firsts = 0;
-    while (!cs.done()) {
+    for (bool more = true; more; ++n) {
+        ASSERT_FALSE(cs.done()) << "chain ended early at wavefront " << n;
         Wavefront wf;
         cs.issueInto(wf);
-        ++n;
-        innermost_firsts +=
-            wf.firstAtLevel(static_cast<uint8_t>(depth - 1));
+        uint32_t mask = full;
+        if (inner.vectorized) {
+            mask = 0;
+            for (uint32_t l = 0; l < lanes; ++l) {
+                if (values[depth - 1][idx[depth - 1]] + l * inner.step <
+                    bounds[depth - 1])
+                    mask |= 1u << l;
+            }
+        }
+        EXPECT_EQ(wf.mask, mask) << "wavefront " << n;
+        uint16_t first = 0, last = 0;
+        bool atFirst = true, atLast = true;
+        for (size_t i = depth; i-- > 0;) {
+            EXPECT_EQ(wf.ctr[i], values[i][idx[i]])
+                << "wavefront " << n << " level " << i;
+            atFirst = atFirst && idx[i] == 0;
+            atLast = atLast && idx[i] + 1 == values[i].size();
+            first |= static_cast<uint16_t>(atFirst) << i;
+            last |= static_cast<uint16_t>(atLast) << i;
+        }
+        EXPECT_EQ(wf.firstLevels, first) << "wavefront " << n;
+        EXPECT_EQ(wf.lastLevels, last) << "wavefront " << n;
+        EXPECT_EQ(wf.vecCtr, inner.vectorized
+                                 ? static_cast<int8_t>(depth - 1)
+                                 : -1);
+        more = false;
+        for (size_t i = depth; i-- > 0;) {
+            if (++idx[i] < values[i].size()) {
+                more = true;
+                break;
+            }
+            idx[i] = 0;
+        }
         ASSERT_LT(n, 10000);
     }
-    EXPECT_EQ(n, expect);
-    // The innermost level restarts once per enclosing iteration.
-    int64_t outer = 1;
-    for (size_t i = 0; i + 1 < depth; ++i)
-        outer *= bounds[i];
-    EXPECT_EQ(innermost_firsts, outer);
+    EXPECT_TRUE(cs.done());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomChains,

@@ -274,6 +274,52 @@ TEST(DiagnosedErrors, TryCompileNamesTheBindingResource)
         << st.message();
 }
 
+/** CNN's input address spelled as an iadd/imul chain instead of with
+ *  ima: in[c*h*w + (x+kx)*w + (y+ky)] lowers to a 6-stage PMU address
+ *  program, and a PMU has 4 stages. The mapper rejects it as a typed
+ *  compile error that names the PMU, so the fabric is never built. */
+TEST(DiagnosedErrors, LongPmuAddressProgramIsACompileError)
+{
+    const int32_t h = 8, w = 8;
+    Builder b("longAddr");
+    MemId in = b.dram("in", h * w);
+    int32_t out = b.argOut();
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    MemId sin = b.sram("inS", h * w);
+    b.loadTile("loadIn", root, in, sin, b.immI(0), 1, h * w, h * w);
+    CtrId x = b.ctr("x", 0, h - 1);
+    NodeId rows = b.outer("rows", CtrlScheme::kSequential, {x}, root);
+    CtrId c = b.ctr("c", 0, 1);
+    CtrId kx = b.ctr("kx", 0, 2);
+    CtrId ky = b.ctr("ky", 0, 2);
+    CtrId y = b.ctr("y", 0, w - 1, 1, true);
+    ExprId addr = b.iadd(
+        b.iadd(b.imul(b.ctrE(c), b.immI(h * w)),
+               b.imul(b.iadd(b.ctrE(x), b.ctrE(kx)), b.immI(w))),
+        b.iadd(b.ctrE(y), b.ctrE(ky)));
+    b.compute("conv", rows, {c, kx, ky, y}, {}, {},
+              {Builder::fold(FuOp::kIAdd, b.load(sin, addr), c, out)});
+    Program prog = b.finish(root);
+
+    MapResult res = compileProgram(prog, ArchParams::plasticineFinal());
+    ASSERT_FALSE(res.report.ok);
+    EXPECT_EQ(res.report.diag.binding, "pmu.stages");
+    EXPECT_NE(res.report.error.find("PMU inS@"), std::string::npos)
+        << res.report.error;
+    EXPECT_NE(res.report.error.find("6 address stages exceed the 4 "
+                                    "physical stages"),
+              std::string::npos)
+        << res.report.error;
+
+    Runner r(prog, ArchParams::plasticineFinal());
+    Status st = r.tryCompile();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCompileError);
+    Runner::Result out_res;
+    EXPECT_EQ(r.tryRun(out_res).code(), StatusCode::kCompileError);
+    EXPECT_EQ(r.fabric(), nullptr) << "fabric built from a failed compile";
+}
+
 // ---------------------------------------------------------------------
 // Placement restarts + diagnostics plumbing
 // ---------------------------------------------------------------------

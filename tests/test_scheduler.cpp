@@ -1,12 +1,18 @@
 /** @file Activity-driven scheduler: bit-exact cycle parity against the
  *  dense-tick baseline on every benchmark, traffic-counter parity,
- *  fast-forward behavior, and exact deadlock detection (empty active
- *  set) on a stalled credit loop. */
+ *  fast-forward behavior, exact deadlock detection (empty active set)
+ *  on a stalled credit loop, and the timing wheel and wake ordering on
+ *  hand-wired units. */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "apps/apps.hpp"
 #include "sim/fabric.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/stream.hpp"
 
 using namespace plast;
 
@@ -257,4 +263,201 @@ TEST(SchedulerStats, StreamCountersAreWired)
         << "all tokens consumed";
     EXPECT_GT(res.stats.get("net.vector.pushes"), 0u);
     EXPECT_GT(res.stats.sumPrefix("stream."), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Scheduler mechanics on hand-wired units and streams
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A unit whose evaluate() is a test-supplied function. */
+class ProbeUnit : public SimObject
+{
+  public:
+    explicit ProbeUnit(std::function<Activity(Cycles)> fn)
+        : fn_(std::move(fn))
+    {
+    }
+    Activity evaluate(Cycles now) override { return fn_(now); }
+
+  private:
+    std::function<Activity(Cycles)> fn_;
+};
+
+/**
+ * A relay of three hops on the wheel's largest latency: a source
+ * pushes at cycle 0, two relays each pop and forward, and a sink pops.
+ * A short stream registered alongside keeps the wheel honest about
+ * sizing by the largest latency. Returns the cycle of every pop.
+ * With `fastForward`, the caller skips idle gaps the way the fabric's
+ * activity loop does; `nextEvents` records each jump target.
+ */
+std::vector<Cycles>
+runRelay(bool fastForward, std::vector<Cycles> *nextEvents)
+{
+    const uint32_t kLong = 13;
+    Scheduler sched;
+    ScalarStream shortHop("short", 2, 2);
+    ScalarStream a("a", kLong, 2), b("b", kLong, 2), c("c", kLong, 2);
+    std::vector<Cycles> pops;
+    auto relay = [&](ScalarStream *in, ScalarStream *out) {
+        return [&pops, in, out](Cycles now) {
+            if (!in->canPop())
+                return Activity::kBlocked;
+            Word v = in->front();
+            in->pop();
+            pops.push_back(now);
+            if (out)
+                out->push(v + 1);
+            return Activity::kBlocked;
+        };
+    };
+    bool sent = false;
+    ProbeUnit src([&](Cycles) {
+        if (!sent) {
+            a.push(7);
+            sent = true;
+        }
+        return Activity::kBlocked;
+    });
+    ProbeUnit r1(relay(&a, &b)), r2(relay(&b, &c));
+    ProbeUnit sink(relay(&c, nullptr));
+    for (ProbeUnit *u : {&src, &r1, &r2, &sink})
+        sched.addUnit(u);
+    for (ScalarStream *s : {&shortHop, &a, &b, &c})
+        sched.addStream(s);
+    a.bindProducer(&src);
+    a.bindConsumer(&r1);
+    b.bindProducer(&r1);
+    b.bindConsumer(&r2);
+    c.bindProducer(&r2);
+    c.bindConsumer(&sink);
+
+    Cycles now = 0;
+    while (!sched.idle() && now < 1000) {
+        if (fastForward && sched.canFastForward()) {
+            Cycles next = sched.nextEventCycle();
+            nextEvents->push_back(next);
+            now = next;
+        }
+        sched.runCycle(now);
+        ++now;
+    }
+    EXPECT_TRUE(sched.idle());
+    EXPECT_EQ(c.stats().pops, 1u);
+    return pops;
+}
+
+} // namespace
+
+/** An arrival on the longest-latency stream fires on its exact cycle,
+ *  whether the clock steps through the idle gap or fast-forwards over
+ *  it, and across wheel wrap-around (timers at 12, 25 and 38 on a
+ *  16-bucket wheel). */
+TEST(SchedulerWheel, LongestLatencyArrivalFiresOnItsExactCycle)
+{
+    std::vector<Cycles> ignored, jumps;
+    std::vector<Cycles> stepped = runRelay(false, &ignored);
+    std::vector<Cycles> skipped = runRelay(true, &jumps);
+    EXPECT_EQ(stepped, (std::vector<Cycles>{13, 26, 39}));
+    EXPECT_EQ(skipped, stepped);
+    EXPECT_EQ(jumps, (std::vector<Cycles>{12, 25, 38}));
+}
+
+/** A stream re-armed to a later cycle (a fault drops the in-flight
+ *  element its timer was for) leaves its old wheel entry behind. That
+ *  stale entry fires as a no-op commit: the surviving element arrives
+ *  on its own cycle, and the dropped one never shows. */
+TEST(SchedulerWheel, StaleReArmedEntryIsHarmless)
+{
+    for (bool fastForward : {false, true}) {
+        Scheduler sched;
+        ScalarStream s("s", /*latency=*/8, /*capacity=*/2);
+        std::vector<std::pair<Cycles, Word>> seen;
+        ProbeUnit src([&](Cycles now) {
+            if (now == 0)
+                s.push(1);
+            if (now == 2)
+                s.push(2);
+            return now < 2 ? Activity::kActive : Activity::kBlocked;
+        });
+        ProbeUnit dst([&](Cycles now) {
+            while (s.canPop()) {
+                seen.push_back({now, s.front()});
+                s.pop();
+            }
+            return Activity::kBlocked;
+        });
+        sched.addUnit(&src);
+        sched.addUnit(&dst);
+        sched.addStream(&s);
+        s.bindProducer(&src);
+        s.bindConsumer(&dst);
+
+        std::vector<Cycles> jumps;
+        Cycles now = 0;
+        for (; now < 4; ++now)
+            sched.runCycle(now);
+        // Timer armed for cycle 7 (element 1 arrives at 8). Drop it the
+        // way the fabric's fault injector does, between cycles.
+        ASSERT_TRUE(s.injectDrop());
+        sched.streamDirty(&s);
+        while (!sched.idle() && now < 100) {
+            if (fastForward && sched.canFastForward()) {
+                jumps.push_back(sched.nextEventCycle());
+                now = jumps.back();
+            }
+            sched.runCycle(now);
+            ++now;
+        }
+        EXPECT_EQ(seen, (std::vector<std::pair<Cycles, Word>>{{10, 2}}))
+            << "fastForward " << fastForward;
+        if (fastForward) {
+            // The stale entry at 7 is visited, then the live one at 9.
+            EXPECT_EQ(jumps, (std::vector<Cycles>{7, 9}));
+        }
+        EXPECT_TRUE(sched.idle());
+    }
+}
+
+/** Units woken in reverse registration order, from inside a cycle and
+ *  interleaved with units that stay awake, evaluate in registration
+ *  order on the next cycle. */
+TEST(SchedulerWheel, WokenUnitsEvaluateInRegistrationOrder)
+{
+    Scheduler sched;
+    std::vector<std::pair<Cycles, int>> log;
+    std::vector<std::unique_ptr<ProbeUnit>> units;
+    for (int i = 0; i < 6; ++i) {
+        units.push_back(
+            std::make_unique<ProbeUnit>([&log, i](Cycles now) {
+                log.push_back({now, i});
+                // Units 1 and 3 stay awake through cycle 2.
+                bool stay = (i == 1 || i == 3) && now < 2;
+                return stay ? Activity::kActive : Activity::kBlocked;
+            }));
+    }
+    // The waker, registered last, wakes 4, 2, 0 and 5 on cycle 1.
+    ProbeUnit waker([&](Cycles now) {
+        if (now == 1) {
+            for (int i : {5, 4, 2, 0})
+                units[static_cast<size_t>(i)]->requestWake();
+        }
+        return now < 1 ? Activity::kActive : Activity::kBlocked;
+    });
+    for (auto &u : units)
+        sched.addUnit(u.get());
+    sched.addUnit(&waker);
+    for (Cycles now = 0; now < 4; ++now)
+        sched.runCycle(now);
+
+    std::vector<int> cycle2;
+    for (auto [c, i] : log) {
+        if (c == 2)
+            cycle2.push_back(i);
+    }
+    EXPECT_EQ(cycle2, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_TRUE(sched.idle());
 }
