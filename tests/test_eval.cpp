@@ -333,7 +333,9 @@ struct Golden
 };
 
 // Captured from the lane-at-a-time evaluator this file was written
-// against; 13 apps at kTiny plus two at kDefault.
+// against: 13 apps at kTiny plus TPC-H Query 6 and GEMM at kDefault.
+// The other kDefault rows were captured from the lane-batched evaluator
+// that memoizes each expression per wavefront, before leaf programs.
 const Golden kGolden[] = {
     {"InnerProduct", apps::Scale::kTiny, 0x489665e3c09d3efaull,
      {4097, 8192, 0, 0, 0, 257}},
@@ -365,6 +367,22 @@ const Golden kGolden[] = {
      {4360, 4608, 512, 2304, 4352, 272}},
     {"BFS", apps::Scale::kTiny, 0xccdbfc0e09cd0b4cull,
      {4064, 2240, 352, 1824, 2300, 142}},
+    {"GDA", apps::Scale::kDefault, 0x307d679370de9bd6ull,
+     {8388624, 32800, 1024, 4195328, 1081376, 65536}},
+    {"CNN", apps::Scale::kDefault, 0xfe2c7457e390f635ull,
+     {2386944, 3744, 5120, 603136, 12960, 18816}},
+    {"Kmeans", apps::Scale::kDefault, 0xfaf349d4517ea76bull,
+     {953616, 16512, 128, 321152, 44416, 11344}},
+    {"LogReg", apps::Scale::kDefault, 0x6469fee51e51ffa3ull,
+     {994416, 99904, 64, 396544, 201472, 12396}},
+    {"SGD", apps::Scale::kDefault, 0x08c092d8747c58d6ull,
+     {661536, 66624, 64, 265280, 135232, 8320}},
+    {"SMDV", apps::Scale::kDefault, 0xdb2d18f184576875ull,
+     {24600, 24576, 512, 16896, 25088, 512}},
+    {"PageRank", apps::Scale::kDefault, 0xa91759993f5637d6ull,
+     {17440, 18432, 2048, 9216, 17408, 1088}},
+    {"BFS", apps::Scale::kDefault, 0xcaa66c2a5b3a4992ull,
+     {21043, 11584, 2483, 9459, 10900, 726}},
 };
 
 } // namespace
