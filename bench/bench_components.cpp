@@ -80,7 +80,8 @@ BM_SimulateInnerProduct(benchmark::State &state)
 BENCHMARK(BM_SimulateInnerProduct);
 
 /** One reference-evaluator run (the validation step of every job) on a
- *  registered app; reports host time per ALU lane-op. */
+ *  registered app; reports host time per ALU lane-op and per
+ *  wavefront. */
 static void
 BM_Evaluator(benchmark::State &state, const char *name,
              apps::Scale scale)
@@ -97,21 +98,31 @@ BM_Evaluator(benchmark::State &state, const char *name,
     apps::AppInstance app = spec->make(scale);
     Runner r(app.prog);
     app.load(r);
-    uint64_t ops = 0;
+    uint64_t ops = 0, wavefronts = 0;
     for (auto _ : state) {
         pir::Evaluator ev = r.runReference();
         ops = ev.counts().aluOps;
+        wavefronts = ev.counts().wavefronts;
         benchmark::DoNotOptimize(ops);
     }
-    // Inverted op rate: seconds per ALU lane-op (printed as ns).
+    // Inverted rates: seconds per ALU lane-op and per wavefront
+    // (printed as ns).
+    const double runs = static_cast<double>(state.iterations());
     state.counters["per_alu_op"] = benchmark::Counter(
-        static_cast<double>(ops) * static_cast<double>(state.iterations()),
+        static_cast<double>(ops) * runs,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["per_wavefront"] = benchmark::Counter(
+        static_cast<double>(wavefronts) * runs,
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK_CAPTURE(BM_Evaluator, GEMM, "GEMM", apps::Scale::kDefault)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Evaluator, TPCHQ6, "TPC-H Query 6",
                   apps::Scale::kDefault)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Evaluator, GDA, "GDA", apps::Scale::kDefault)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Evaluator, CNN, "CNN", apps::Scale::kDefault)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

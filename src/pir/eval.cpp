@@ -28,9 +28,20 @@ Evaluator::Evaluator(const Program &prog, uint32_t lanes)
         if (prog.nodes[i].kind == NodeKind::kCompute)
             serial_[i] = laneOrderHazard(static_cast<NodeId>(i));
     }
+    scalarBase_.resize(prog.nodes.size());
+    size_t scalars = 0;
+    for (size_t i = 0; i < prog.nodes.size(); ++i) {
+        scalarBase_[i] = scalars;
+        scalars += prog.nodes[i].sinks.size();
+    }
+    scalars_.assign(scalars, 0);
+    leaves_.resize(prog.nodes.size());
     ctrLevel_.assign(prog.ctrs.size(), -1);
     slot_.resize(prog.exprs.size());
-    val_.assign(prog.exprs.size() * lanes, 0);
+    val_.assign((prog.exprs.size() + 1) * lanes, 0);
+    srcBits_.assign(prog.exprs.size(), 0);
+    mark_.assign(prog.exprs.size(), 0);
+    dep_.assign(prog.exprs.size(), 0);
     kernel_.assign(prog.exprs.size(), nullptr);
     for (size_t i = 0; i < prog.exprs.size(); ++i) {
         if (prog.exprs[i].kind == ExprKind::kAlu)
@@ -139,15 +150,23 @@ Evaluator::argOuts(int32_t slot) const
     return argOuts_.at(slot);
 }
 
+Word
+Evaluator::scalarOf(NodeId node, int32_t sink) const
+{
+    if (node < 0 || static_cast<size_t>(node) >= prog_.nodes.size() ||
+        sink < 0 ||
+        static_cast<size_t>(sink) >= prog_.nodes[node].sinks.size())
+        return 0;
+    return scalars_[scalarBase_[node] + static_cast<size_t>(sink)];
+}
+
 int64_t
 Evaluator::boundOf(const CtrDecl &c) const
 {
     if (c.boundArg != kNone)
         return wordToInt(prog_.args.at(c.boundArg).value);
     if (c.boundSinkNode != kNone) {
-        auto it = lastScalar_.find({c.boundSinkNode, c.boundSinkIdx});
-        int64_t v =
-            it == lastScalar_.end() ? 0 : wordToInt(it->second);
+        int64_t v = wordToInt(scalarOf(c.boundSinkNode, c.boundSinkIdx));
         return v * c.boundScale;
     }
     return c.max;
@@ -223,8 +242,7 @@ Evaluator::execTransfer(const Node &n)
     if (x.sparse) {
         int64_t count = x.rowWords;
         if (x.countSinkNode != kNone) {
-            auto it = lastScalar_.find({x.countSinkNode, x.countSinkIdx});
-            count = it == lastScalar_.end() ? 0 : wordToInt(it->second);
+            count = wordToInt(scalarOf(x.countSinkNode, x.countSinkIdx));
             count *= x.countScale;
         }
         std::vector<Word> &addrs = memData_[x.addrMem];
@@ -313,15 +331,8 @@ Evaluator::evalVec(ExprId id, uint32_t need)
         const Word *a = e.a != kNone ? vals(e.a) : kZero.data();
         const Word *b = e.b != kNone ? vals(e.b) : kZero.data();
         const Word *c = e.c != kNone ? vals(e.c) : kZero.data();
-        // A lane prefix runs the monomorphic kernel; other masks (and
-        // ops without one) go lane by lane through the checked fuExec.
-        if (kernel_[id] && (todo & (todo + 1)) == 0) {
-            kernel_[id](a, b, c, out, static_cast<uint32_t>(lanes));
-        } else {
-            each([&](uint32_t l) {
-                out[l] = fuExec(e.alu, a[l], b[l], c[l]);
-            });
-        }
+        // Only lane-serial leaves get here, one lane at a time.
+        each([&](uint32_t l) { out[l] = fuExec(e.alu, a[l], b[l], c[l]); });
         counts_.aluOps += lanes;
         break;
       }
@@ -344,8 +355,7 @@ Evaluator::evalVec(ExprId id, uint32_t need)
       }
       case ExprKind::kScalarIn: {
         const ScalarIn &si = leaf_->scalarIns.at(e.scalar);
-        auto it = lastScalar_.find({si.fromNode, si.fromSink});
-        fill(it == lastScalar_.end() ? 0 : it->second);
+        fill(scalarOf(si.fromNode, si.fromSink));
         break;
       }
       case ExprKind::kLaneId:
@@ -355,12 +365,35 @@ Evaluator::evalVec(ExprId id, uint32_t need)
     slot.done |= todo;
 }
 
-void
-Evaluator::execCompute(const Node &n)
+Word
+Evaluator::invariantValue(const Node &leaf, const Expr &e) const
 {
-    // Build the leaf counter chain.
+    switch (e.kind) {
+      case ExprKind::kConst:
+        return e.cval;
+      case ExprKind::kArg:
+        return prog_.args.at(e.arg).value;
+      case ExprKind::kCtr:
+        return static_cast<Word>(ctrVal_.at(e.ctr));
+      case ExprKind::kScalarIn: {
+        const ScalarIn &si = leaf.scalarIns.at(e.scalar);
+        return scalarOf(si.fromNode, si.fromSink);
+      }
+      case ExprKind::kStreamIn:
+        (void)leaf.streamIns.at(e.stream); // lowered only when it throws
+        break;
+      default:
+        break;
+    }
+    return 0;
+}
+
+void
+Evaluator::lower(NodeId id, LeafProgram &lp)
+{
+    const Node &n = prog_.nodes[id];
+    lp.built = true;
     ChainCfg ccfg;
-    std::vector<int64_t> bounds;
     for (CtrId cid : n.leafCtrs) {
         const CtrDecl &cd = prog_.ctrs[cid];
         CounterCfg cc;
@@ -369,32 +402,298 @@ Evaluator::execCompute(const Node &n)
         cc.max = 0;
         cc.vectorized = cd.vectorized;
         ccfg.ctrs.push_back(cc);
-        bounds.push_back(boundOf(cd));
     }
-    ChainState chain;
-    chain.configure(ccfg, lanes_);
-    chain.reset(bounds);
-
-    // Per-fold accumulators.
-    struct FoldState
-    {
-        std::array<Word, kMaxLanes> acc{};
-        int levelIdx = 0;
-    };
-    std::vector<FoldState> folds(n.sinks.size());
-    std::vector<uint64_t> flatCounts(n.sinks.size(), 0);
+    lp.chain.configure(ccfg, lanes_);
+    lp.bounds.assign(n.leafCtrs.size(), 0);
+    lp.sinks.assign(n.sinks.size(), SinkState{});
     for (size_t s = 0; s < n.sinks.size(); ++s) {
         const Sink &sk = n.sinks[s];
-        if (sk.kind == SinkKind::kFold) {
-            int idx = -1;
-            for (size_t i = 0; i < n.leafCtrs.size(); ++i) {
-                if (n.leafCtrs[i] == sk.foldLevel)
-                    idx = static_cast<int>(i);
-            }
-            fatal_if(idx < 0, "fold level not among leaf counters in %s",
-                     n.name.c_str());
-            folds[s].levelIdx = idx;
+        if (sk.kind != SinkKind::kFold)
+            continue;
+        int idx = -1;
+        for (size_t i = 0; i < n.leafCtrs.size(); ++i) {
+            if (n.leafCtrs[i] == sk.foldLevel)
+                idx = static_cast<int>(i);
         }
+        fatal_if(idx < 0, "fold level not among leaf counters in %s",
+                 n.name.c_str());
+        lp.sinks[s].level = static_cast<uint8_t>(idx);
+    }
+    if (serial_[id])
+        return;
+
+    // ---- lane-mask sources and the expressions each one requests ----
+    const uint32_t zero_row =
+        static_cast<uint32_t>(prog_.exprs.size() * lanes_);
+    auto row = [&](ExprId e) {
+        return e == kNone ? zero_row : static_cast<uint32_t>(e) * lanes_;
+    };
+    lp.sources.assign(1, Source{}); // 0: valid lanes, every wavefront
+    std::vector<std::pair<ExprId, uint32_t>> roots;
+    auto request = [&](ExprId e, uint32_t src) {
+        if (e != kNone)
+            roots.push_back({e, src});
+    };
+    auto add_source = [&](Source src) {
+        lp.sources.push_back(src);
+        return static_cast<uint32_t>(lp.sources.size() - 1);
+    };
+    for (size_t s = 0; s < n.sinks.size(); ++s) {
+        const Sink &sk = n.sinks[s];
+        SinkState &ss = lp.sinks[s];
+        ss.value = row(sk.value);
+        switch (sk.kind) {
+          case SinkKind::kStoreSram:
+            ss.addr = row(sk.addr);
+            if (sk.accumulate)
+                ss.kernel = mapKernelFor(sk.accumOp);
+            request(sk.addr, 0);
+            request(sk.value, 0);
+            break;
+          case SinkKind::kFold: {
+            ss.addr = row(sk.addr);
+            ss.scale = row(sk.postScale);
+            ss.offset = row(sk.postOffset);
+            if (!sk.crossLane)
+                ss.kernel = mapKernelFor(sk.foldOp);
+            request(sk.value, 0);
+            // At the fold's end: the address and post-op lanes (all
+            // valid lanes for a per-lane SRAM fold, else lane 0).
+            const bool sram = sk.dest == FoldDest::kSramAddr;
+            if ((sram && sk.addr != kNone) || sk.postScale != kNone ||
+                sk.postOffset != kNone) {
+                Source end;
+                end.kind = Source::Kind::kFoldEnd;
+                end.level = ss.level;
+                end.lane0 = sk.crossLane || !sram;
+                uint32_t k = add_source(end);
+                if (sram)
+                    request(sk.addr, k);
+                request(sk.postScale, k);
+                request(sk.postOffset, k);
+            }
+            break;
+          }
+          case SinkKind::kFlatMapSram: {
+            ss.pred = row(sk.pred);
+            request(sk.pred, 0);
+            Source p;
+            p.kind = Source::Kind::kPred;
+            p.pred = ss.pred;
+            request(sk.value, add_source(p));
+            break;
+          }
+          case SinkKind::kStreamOut:
+            ss.addr = row(sk.dramAddr);
+            request(sk.dramAddr, 0);
+            request(sk.value, 0);
+            break;
+          case SinkKind::kScatterOut: {
+            ss.addr = row(sk.dramAddr);
+            ss.pred = row(sk.scatterPred);
+            uint32_t k = 0;
+            if (sk.scatterPred != kNone) {
+                request(sk.scatterPred, 0);
+                Source p;
+                p.kind = Source::Kind::kPred;
+                p.pred = ss.pred;
+                k = add_source(p);
+            }
+            request(sk.dramAddr, k);
+            request(sk.value, k);
+            break;
+          }
+        }
+    }
+    if (lp.sources.size() > 64) {
+        // More masks than one source word holds: stay on the lazy path.
+        serial_[id] = true;
+        return;
+    }
+
+    // ---- reachable expressions in dependency order -------------------
+    if (++markGen_ == 0) {
+        std::fill(mark_.begin(), mark_.end(), 0);
+        markGen_ = 1;
+    }
+    auto operands = [&](const Expr &e, ExprId ops[3]) {
+        int k = 0;
+        switch (e.kind) {
+          case ExprKind::kAlu:
+            for (ExprId o : {e.a, e.b, e.c})
+                if (o != kNone)
+                    ops[k++] = o;
+            break;
+          case ExprKind::kLoadSram:
+            ops[k++] = e.addr;
+            break;
+          case ExprKind::kStreamIn:
+            if (e.stream >= 0 &&
+                static_cast<size_t>(e.stream) < n.streamIns.size())
+                ops[k++] = n.streamIns[e.stream].addr;
+            break;
+          default:
+            break;
+        }
+        return k;
+    };
+    std::vector<ExprId> order; // operands before their users
+    std::vector<std::pair<ExprId, int>> stack;
+    for (const auto &[r, src] : roots) {
+        (void)src;
+        if (mark_[r] == markGen_)
+            continue;
+        mark_[r] = markGen_;
+        srcBits_[r] = 0;
+        stack.push_back({r, 0});
+        while (!stack.empty()) {
+            auto &[x, next] = stack.back();
+            ExprId ops[3];
+            int nops = operands(prog_.exprs[x], ops);
+            if (next < nops) {
+                ExprId o = ops[next++];
+                if (mark_[o] != markGen_) {
+                    mark_[o] = markGen_;
+                    srcBits_[o] = 0;
+                    stack.push_back({o, 0});
+                }
+                continue;
+            }
+            order.push_back(x);
+            stack.pop_back();
+        }
+    }
+    // Each expression needs the union of its users' masks.
+    for (const auto &[r, src] : roots)
+        srcBits_[r] |= uint64_t{1} << src;
+    for (size_t i = order.size(); i-- > 0;) {
+        const ExprId x = order[i];
+        ExprId ops[3];
+        int nops = operands(prog_.exprs[x], ops);
+        for (int k = 0; k < nops; ++k)
+            srcBits_[ops[k]] |= srcBits_[x];
+    }
+
+    // ---- steps: lane-invariant leaves become per-run fills ------------
+    auto class_of = [&](uint64_t bits) {
+        for (size_t c = 0; c < lp.classes.size(); ++c)
+            if (lp.classes[c].sources == bits)
+                return static_cast<uint16_t>(c);
+        lp.classes.push_back({bits, (bits & 1u) != 0});
+        return static_cast<uint16_t>(lp.classes.size() - 1);
+    };
+    // Operands precede their users in `order`, so dep_ is set for every
+    // operand read here; an absent operand is the (invariant) zero row.
+    const bool vec_inner = !n.leafCtrs.empty() &&
+                           prog_.ctrs[n.leafCtrs.back()].vectorized;
+    auto dep = [&](ExprId o) -> int8_t { return o == kNone ? -1 : dep_[o]; };
+    auto join = [](int8_t p, int8_t q) -> int8_t {
+        return p == kLaneVarying || q == kLaneVarying ? kLaneVarying
+                                                      : std::max(p, q);
+    };
+    std::vector<Step> later; // steps whose need excludes the valid mask
+    for (ExprId x : order) {
+        const Expr &e = prog_.exprs[x];
+        Step st;
+        st.out = row(x);
+        bool invariant = false, checked = false;
+        st.dep = e.kind == ExprKind::kLaneId ? kLaneVarying : -1;
+        switch (e.kind) {
+          case ExprKind::kConst:
+          case ExprKind::kLaneId:
+            invariant = true;
+            break;
+          case ExprKind::kArg:
+            invariant = e.arg >= 0 &&
+                        static_cast<size_t>(e.arg) < prog_.args.size();
+            checked = !invariant;
+            break;
+          case ExprKind::kScalarIn:
+            invariant = e.scalar >= 0 &&
+                        static_cast<size_t>(e.scalar) < n.scalarIns.size();
+            checked = !invariant;
+            break;
+          case ExprKind::kCtr: {
+            int level = -1;
+            for (size_t i = n.leafCtrs.size(); i-- > 0;)
+                if (n.leafCtrs[i] == e.ctr)
+                    level = static_cast<int>(i);
+            if (level >= 0) {
+                st.op = Step::Op::kLeafCtr;
+                st.level = static_cast<uint8_t>(level);
+                st.dep = vec_inner && static_cast<size_t>(level) + 1 ==
+                                          n.leafCtrs.size()
+                             ? kLaneVarying
+                             : static_cast<int8_t>(level);
+            } else {
+                invariant = e.ctr >= 0 &&
+                            static_cast<size_t>(e.ctr) < ctrVal_.size();
+                checked = !invariant;
+            }
+            break;
+          }
+          case ExprKind::kAlu:
+            st.op = Step::Op::kAlu;
+            st.alu = e.alu;
+            st.kernel = kernel_[x];
+            st.a = row(e.a);
+            st.b = row(e.b);
+            st.c = row(e.c);
+            st.dep = join(join(dep(e.a), dep(e.b)), dep(e.c));
+            break;
+          case ExprKind::kLoadSram:
+            st.op = Step::Op::kLoad;
+            st.mem = e.mem;
+            st.a = row(e.addr);
+            st.dep = dep(e.addr);
+            break;
+          case ExprKind::kStreamIn:
+            if (e.stream >= 0 &&
+                static_cast<size_t>(e.stream) < n.streamIns.size()) {
+                st.op = Step::Op::kStream;
+                st.mem = n.streamIns[e.stream].dram;
+                st.a = row(n.streamIns[e.stream].addr);
+                st.dep = dep(n.streamIns[e.stream].addr);
+            } else {
+                checked = true;
+            }
+            break;
+        }
+        dep_[x] = st.dep;
+        if (invariant) {
+            lp.fills.push_back({st.out, x});
+            continue;
+        }
+        if (checked) {
+            st.op = Step::Op::kChecked;
+            st.expr = x;
+        }
+        st.cls = class_of(srcBits_[x]);
+        if (lp.classes[st.cls].valid)
+            lp.steps.push_back(st);
+        else
+            later.push_back(st);
+    }
+    lp.validSteps = lp.steps.size();
+    lp.steps.insert(lp.steps.end(), later.begin(), later.end());
+    lp.need.assign(lp.classes.size(), 0);
+    lp.srcMask.assign(lp.sources.size(), 0);
+}
+
+void
+Evaluator::execCompute(const Node &n)
+{
+    const NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
+    LeafProgram &lp = leaves_[my_id];
+    if (!lp.built)
+        lower(my_id, lp);
+    for (size_t i = 0; i < n.leafCtrs.size(); ++i)
+        lp.bounds[i] = boundOf(prog_.ctrs[n.leafCtrs[i]]);
+    lp.chain.reset(lp.bounds);
+
+    for (size_t s = 0; s < n.sinks.size(); ++s) {
+        const Sink &sk = n.sinks[s];
+        lp.sinks[s].flatCount = 0;
         if (sk.kind == SinkKind::kFlatMapSram)
             fifoFill_[sk.mem] = 0; // fresh append region per run
         // Default accumulation generation: fresh per writer run.
@@ -406,50 +705,394 @@ Evaluator::execCompute(const Node &n)
                       0);
     }
 
-    // Lane-batched unless the leaf is lane-order sensitive: `pre`
-    // computes an expression over exactly the lanes the per-lane loops
-    // below will read, which then find every value cached.
-    NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
-    const bool serial = serial_[my_id];
-    auto pre = [&](ExprId e, uint32_t mask) {
-        if (!serial && e != kNone)
-            evalVec(e, mask);
+    if (serial_[my_id])
+        runSerial(n, lp);
+    else
+        runLowered(n, lp);
+
+    // End-of-run FlatMap bookkeeping.
+    for (size_t s = 0; s < n.sinks.size(); ++s) {
+        const Sink &sk = n.sinks[s];
+        if (sk.kind != SinkKind::kFlatMapSram)
+            continue;
+        Word count = static_cast<Word>(lp.sinks[s].flatCount);
+        scalarSlot(my_id, s) = count;
+        if (sk.countArgOut != kNone)
+            argOuts_.at(sk.countArgOut).push_back(count);
+    }
+}
+
+namespace
+{
+
+/** Call f(lane) for each set bit of `mask`, lowest lane first. */
+template <class F>
+inline void
+forLanes(uint32_t mask, F &&f)
+{
+    for (uint32_t m = mask; m != 0; m &= m - 1)
+        f(static_cast<uint32_t>(__builtin_ctz(m)));
+}
+
+/** True if `mask` is a (possibly empty) run of lanes from lane 0. */
+inline bool
+isPrefix(uint32_t mask)
+{
+    return (mask & (mask + 1)) == 0;
+}
+
+} // namespace
+
+void
+Evaluator::runLowered(const Node &n, LeafProgram &lp)
+{
+    if (lp.chain.done())
+        return;
+    Word *v = val_.data();
+    const Word *zero = v + prog_.exprs.size() * lanes_;
+    for (const auto &[r, id] : lp.fills) {
+        const Expr &e = prog_.exprs[id];
+        Word *out = v + r;
+        if (e.kind == ExprKind::kLaneId) {
+            for (uint32_t l = 0; l < lanes_; ++l)
+                out[l] = l;
+        } else {
+            std::fill(out, out + lanes_, invariantValue(n, e));
+        }
+    }
+    for (size_t s = 0; s < n.sinks.size(); ++s) {
+        if (n.sinks[s].kind == SinkKind::kFold)
+            lp.sinks[s].identity = fuOpIdentity(n.sinks[s].foldOp);
+    }
+
+    const NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
+    Wavefront &wf = wf_;
+    const uint32_t width = lanes_;
+    // changed[0]: this run's first wavefront; changed[L + 1]: the last
+    // wavefront on which a leaf counter at level <= L moved.
+    const int depth = static_cast<int>(n.leafCtrs.size());
+    std::array<uint64_t, kMaxCtrs + 1> changed{};
+    uint32_t *src = lp.srcMask.data();
+    uint32_t *need = lp.need.data();
+    auto class_needs = [&](bool valid) {
+        for (size_t c = 0; c < lp.classes.size(); ++c) {
+            if (lp.classes[c].valid != valid)
+                continue;
+            uint32_t m = 0;
+            for (uint64_t b = lp.classes[c].sources; b != 0; b &= b - 1)
+                m |= src[__builtin_ctzll(b)];
+            need[c] = m;
+        }
     };
-    // Lanes of `mask` where a prefetched predicate is true.
-    auto truthy = [&](ExprId e, uint32_t mask) {
-        uint32_t keep = 0;
-        if (!serial && e != kNone) {
-            for (uint32_t m = mask; m != 0; m &= m - 1) {
-                uint32_t l = static_cast<uint32_t>(__builtin_ctz(m));
-                if (vals(e)[l] != 0)
-                    keep |= 1u << l;
+    auto run_steps = [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+            Step &st = lp.steps[i];
+            const uint32_t mask = need[st.cls];
+            if (mask == 0)
+                continue;
+            Word *out = v + st.out;
+            const uint32_t lanes =
+                static_cast<uint32_t>(__builtin_popcount(mask));
+            if (st.dep != kLaneVarying) {
+                // Every lane sees the same operands: compute the first
+                // lane of `mask` and broadcast to the whole row. If no
+                // counter it depends on has moved since, the row still
+                // holds the value (and a load's address was checked):
+                // only the counts advance.
+                if (st.dep + 1 < depth &&
+                    st.stamp >= changed[st.dep + 1]) {
+                    if (st.op == Step::Op::kAlu)
+                        counts_.aluOps += lanes;
+                    else if (st.op == Step::Op::kLoad)
+                        counts_.sramWordsRead += lanes;
+                    else if (st.op == Step::Op::kStream)
+                        counts_.dramWordsRead += lanes;
+                    continue;
+                }
+                st.stamp = wfSeq_;
+                const uint32_t f =
+                    static_cast<uint32_t>(__builtin_ctz(mask));
+                Word x = 0;
+                switch (st.op) {
+                  case Step::Op::kAlu:
+                    x = fuExec(st.alu, v[st.a + f], v[st.b + f],
+                               v[st.c + f]);
+                    counts_.aluOps += lanes;
+                    break;
+                  case Step::Op::kLoad:
+                    x = memData_[st.mem].at(v[st.a + f]);
+                    counts_.sramWordsRead += lanes;
+                    break;
+                  case Step::Op::kStream:
+                    x = memData_[st.mem].at(v[st.a + f]);
+                    counts_.dramWordsRead += lanes;
+                    break;
+                  case Step::Op::kLeafCtr:
+                    x = static_cast<Word>(wf.ctr[st.level]);
+                    break;
+                  case Step::Op::kChecked:
+                    x = invariantValue(n, prog_.exprs[st.expr]);
+                    break;
+                }
+                std::fill(out, out + width, x);
+                continue;
+            }
+            switch (st.op) {
+              case Step::Op::kAlu: {
+                const Word *a = v + st.a, *b = v + st.b, *c = v + st.c;
+                if (st.kernel && isPrefix(mask)) {
+                    st.kernel(a, b, c, out, lanes);
+                } else {
+                    forLanes(mask, [&](uint32_t l) {
+                        out[l] = fuExec(st.alu, a[l], b[l], c[l]);
+                    });
+                }
+                counts_.aluOps += lanes;
+                break;
+              }
+              case Step::Op::kLoad:
+              case Step::Op::kStream: {
+                const Word *addr = v + st.a;
+                const std::vector<Word> &m = memData_[st.mem];
+                if (isPrefix(mask)) {
+                    for (uint32_t l = 0; l < lanes; ++l)
+                        out[l] = m.at(addr[l]);
+                } else {
+                    forLanes(mask,
+                             [&](uint32_t l) { out[l] = m.at(addr[l]); });
+                }
+                (st.op == Step::Op::kLoad ? counts_.sramWordsRead
+                                          : counts_.dramWordsRead) += lanes;
+                break;
+              }
+              case Step::Op::kLeafCtr: {
+                // The vectorized counter: lane l sees base + l * step
+                // (truncated to a word, so word arithmetic is exact).
+                const Word base = static_cast<Word>(wf.ctr[st.level]);
+                const Word step = static_cast<Word>(wf.vecStep);
+                for (uint32_t l = 0; l < width; ++l)
+                    out[l] = base + l * step;
+                break;
+              }
+              case Step::Op::kChecked:
+                break; // uniform
             }
         }
+    };
+    // Lanes of `mask` where the row `pred` is nonzero.
+    auto truthy = [&](uint32_t pred, uint32_t mask) {
+        uint32_t keep = 0;
+        forLanes(mask, [&](uint32_t l) {
+            if (v[pred + l] != 0)
+                keep |= 1u << l;
+        });
         return keep;
     };
-    for (size_t i = n.leafCtrs.size(); i-- > 0;)
-        ctrLevel_[n.leafCtrs[i]] = static_cast<int8_t>(i);
-    leaf_ = &n;
-    Wavefront &wf = wf_;
 
-    while (!chain.done()) {
-        chain.issueInto(wf);
+    bool first = true;
+    do {
+        lp.chain.issueInto(wf);
         ++counts_.wavefronts;
-        ++epoch_;
-
         const uint32_t valid = wf.mask;
+        // Counter L moves when the levels inside it restart.
+        ++wfSeq_;
+        if (first)
+            changed[0] = wfSeq_;
+        first = false;
+        for (int l = 0; l + 1 < depth; ++l) {
+            if (wf.firstAtLevel(static_cast<uint8_t>(l + 1)))
+                changed[l + 1] = wfSeq_;
+        }
+
+        // Steps whose need includes the valid lanes first (predicate
+        // masks are subsets of those and wait for their predicate).
+        // The other steps run only under a predicate or at a fold end.
+        bool later = false;
+        for (size_t k = 0; k < lp.sources.size(); ++k) {
+            const Source &so = lp.sources[k];
+            switch (so.kind) {
+              case Source::Kind::kValid:
+                src[k] = valid;
+                break;
+              case Source::Kind::kPred:
+                src[k] = 0;
+                later = true;
+                break;
+              case Source::Kind::kFoldEnd:
+                src[k] = !wf.lastAtLevel(so.level) ? 0
+                         : so.lane0                ? 1u
+                                                   : valid;
+                later = later || src[k] != 0;
+                break;
+            }
+        }
+        class_needs(true);
+        run_steps(0, lp.validSteps);
+        if (later && lp.validSteps < lp.steps.size()) {
+            for (size_t k = 0; k < lp.sources.size(); ++k) {
+                if (lp.sources[k].kind == Source::Kind::kPred)
+                    src[k] = truthy(lp.sources[k].pred, valid);
+            }
+            class_needs(false);
+            run_steps(lp.validSteps, lp.steps.size());
+        }
+
         for (size_t s = 0; s < n.sinks.size(); ++s) {
             const Sink &sk = n.sinks[s];
+            SinkState &ss = lp.sinks[s];
+            const Word *x = v + ss.value;
             switch (sk.kind) {
               case SinkKind::kStoreSram: {
                 // FIFO-mode memories are queues: the sequential
                 // evaluator keeps every element that streams through
                 // (index = enqueue position), so the later consumer
                 // observes the same order as the hardware pops.
+                const bool fifo =
+                    prog_.mems[sk.mem].mode == BankingMode::kFifo;
+                const Word *addr = v + ss.addr;
+                std::vector<Word> &m = memData_[sk.mem];
+                if (ss.kernel && !fifo && isPrefix(valid)) {
+                    // Accumulating over distinct addresses (strictly
+                    // increasing, as affine ones are): read, combine and
+                    // write the whole prefix. A repeated address must
+                    // see the earlier lane's write: the lane loop below.
+                    const uint32_t lanes =
+                        static_cast<uint32_t>(__builtin_popcount(valid));
+                    std::array<Word, kMaxLanes> old;
+                    bool distinct = true;
+                    for (uint32_t l = 0; l < lanes; ++l) {
+                        old[l] = m.at(addr[l]);
+                        distinct = distinct && (l == 0 || addr[l - 1] < addr[l]);
+                    }
+                    if (distinct) {
+                        ss.kernel(old.data(), x, zero, old.data(), lanes);
+                        for (uint32_t l = 0; l < lanes; ++l)
+                            m[addr[l]] = old[l];
+                        counts_.sramWordsWritten += lanes;
+                        break;
+                    }
+                }
+                forLanes(valid, [&](uint32_t l) {
+                    Word a = addr[l];
+                    Word w = x[l];
+                    if (fifo && a >= m.size())
+                        m.resize(a + 1, 0);
+                    if (sk.accumulate)
+                        w = fuExec(sk.accumOp, m.at(a), w, 0);
+                    m.at(a) = w;
+                    ++counts_.sramWordsWritten;
+                });
+                break;
+              }
+              case SinkKind::kFold: {
+                const uint8_t lvl = ss.level;
+                if (wf.firstAtLevel(lvl))
+                    ss.acc.fill(ss.identity);
+                if (sk.crossLane) {
+                    // Pairwise tree with identity fill — same order as
+                    // the PCU reduction network.
+                    std::array<Word, kMaxLanes> t;
+                    for (uint32_t l = 0; l < lanes_; ++l)
+                        t[l] = (valid >> l) & 1u ? x[l] : ss.identity;
+                    for (uint32_t dist = 1; dist < lanes_; dist *= 2) {
+                        for (uint32_t i = 0; i + dist < lanes_;
+                             i += 2 * dist)
+                            t[i] = fuExec(sk.foldOp, t[i], t[i + dist], 0);
+                    }
+                    ss.acc[0] = fuExec(sk.foldOp, ss.acc[0], t[0], 0);
+                } else if (ss.kernel && isPrefix(valid)) {
+                    ss.kernel(ss.acc.data(), x, zero, ss.acc.data(),
+                              static_cast<uint32_t>(
+                                  __builtin_popcount(valid)));
+                } else {
+                    forLanes(valid, [&](uint32_t l) {
+                        ss.acc[l] = fuExec(sk.foldOp, ss.acc[l], x[l], 0);
+                    });
+                }
+                if (!wf.lastAtLevel(lvl))
+                    break;
+                auto post = [&](Word r, uint32_t lane) -> Word {
+                    if (sk.postScale == kNone && sk.postOffset == kNone)
+                        return r;
+                    Word sc = sk.postScale != kNone ? v[ss.scale + lane]
+                                                    : floatToWord(1.0f);
+                    Word of = sk.postOffset != kNone ? v[ss.offset + lane]
+                                                     : floatToWord(0.0f);
+                    return fuExec(FuOp::kFMA, r, sc, of);
+                };
+                auto store = [&](Word a, Word w) {
+                    std::vector<Word> &m = memData_[sk.mem];
+                    if (sk.accumulate)
+                        w = fuExec(sk.accumOp, m.at(a), w, 0);
+                    m.at(a) = w;
+                    ++counts_.sramWordsWritten;
+                };
+                if (sk.dest == FoldDest::kArgOut) {
+                    argOuts_.at(sk.argOut).push_back(post(ss.acc[0], 0));
+                } else if (sk.dest == FoldDest::kScalarStream) {
+                    scalarSlot(my_id, s) = post(ss.acc[0], 0);
+                } else if (sk.crossLane) {
+                    store(v[ss.addr], post(ss.acc[0], 0));
+                } else {
+                    forLanes(valid, [&](uint32_t l) {
+                        store(v[ss.addr + l], post(ss.acc[l], l));
+                    });
+                }
+                break;
+              }
+              case SinkKind::kFlatMapSram: {
+                const Word *pred = v + ss.pred;
+                forLanes(valid, [&](uint32_t l) {
+                    if (pred[l] == 0)
+                        return;
+                    memData_[sk.mem].at(fifoFill_[sk.mem]++) = x[l];
+                    ++ss.flatCount;
+                    ++counts_.sramWordsWritten;
+                });
+                break;
+              }
+              case SinkKind::kStreamOut:
+              case SinkKind::kScatterOut: {
+                const bool gated = sk.kind == SinkKind::kScatterOut &&
+                                   sk.scatterPred != kNone;
+                const Word *pred = v + ss.pred;
+                const Word *addr = v + ss.addr;
+                std::vector<Word> &m = memData_[sk.dram];
+                forLanes(valid, [&](uint32_t l) {
+                    if (gated && pred[l] == 0)
+                        return;
+                    m.at(addr[l]) = x[l];
+                    ++counts_.dramWordsWritten;
+                });
+                break;
+              }
+            }
+        }
+    } while (!lp.chain.done());
+}
+
+void
+Evaluator::runSerial(const Node &n, LeafProgram &lp)
+{
+    // Lane-serial: every value is computed on first use, one lane at a
+    // time, in the sinks' lane order.
+    NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
+    for (size_t i = n.leafCtrs.size(); i-- > 0;)
+        ctrLevel_[n.leafCtrs[i]] = static_cast<int8_t>(i);
+    leaf_ = &n;
+    Wavefront &wf = wf_;
+
+    while (!lp.chain.done()) {
+        lp.chain.issueInto(wf);
+        ++counts_.wavefronts;
+        ++epoch_;
+
+        for (size_t s = 0; s < n.sinks.size(); ++s) {
+            const Sink &sk = n.sinks[s];
+            switch (sk.kind) {
+              case SinkKind::kStoreSram: {
                 bool fifo =
                     prog_.mems[sk.mem].mode == BankingMode::kFifo;
-                pre(sk.addr, valid);
-                pre(sk.value, valid);
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
@@ -466,14 +1109,11 @@ Evaluator::execCompute(const Node &n)
                 break;
               }
               case SinkKind::kFold: {
-                FoldState &fs = folds[s];
-                uint8_t lvl = static_cast<uint8_t>(fs.levelIdx);
+                SinkState &fs = lp.sinks[s];
+                uint8_t lvl = fs.level;
                 if (wf.firstAtLevel(lvl))
                     fs.acc.fill(fuOpIdentity(sk.foldOp));
-                pre(sk.value, valid);
                 if (sk.crossLane) {
-                    // Pairwise tree with identity fill — same order as
-                    // the PCU reduction network.
                     std::array<Word, kMaxLanes> v{};
                     for (uint32_t l = 0; l < lanes_; ++l) {
                         v[l] = wf.valid(l)
@@ -512,8 +1152,7 @@ Evaluator::execCompute(const Node &n)
                         argOuts_.at(sk.argOut).push_back(
                             post(fs.acc[0], 0));
                     } else if (sk.dest == FoldDest::kScalarStream) {
-                        lastScalar_[{my_id, static_cast<int32_t>(s)}] =
-                            post(fs.acc[0], 0);
+                        scalarSlot(my_id, s) = post(fs.acc[0], 0);
                     } else if (sk.crossLane) {
                         Word a = evalLane(sk.addr, 0);
                         std::vector<Word> &m = memData_[sk.mem];
@@ -523,9 +1162,6 @@ Evaluator::execCompute(const Node &n)
                         m.at(a) = v;
                         ++counts_.sramWordsWritten;
                     } else {
-                        pre(sk.addr, valid);
-                        pre(sk.postScale, valid);
-                        pre(sk.postOffset, valid);
                         for (uint32_t l = 0; l < lanes_; ++l) {
                             if (!wf.valid(l))
                                 continue;
@@ -542,8 +1178,6 @@ Evaluator::execCompute(const Node &n)
                 break;
               }
               case SinkKind::kFlatMapSram: {
-                pre(sk.pred, valid);
-                pre(sk.value, truthy(sk.pred, valid));
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
@@ -551,14 +1185,12 @@ Evaluator::execCompute(const Node &n)
                         continue;
                     Word v = evalLane(sk.value, l);
                     memData_[sk.mem].at(fifoFill_[sk.mem]++) = v;
-                    ++flatCounts[s];
+                    ++lp.sinks[s].flatCount;
                     ++counts_.sramWordsWritten;
                 }
                 break;
               }
               case SinkKind::kStreamOut: {
-                pre(sk.dramAddr, valid);
-                pre(sk.value, valid);
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
@@ -569,13 +1201,6 @@ Evaluator::execCompute(const Node &n)
                 break;
               }
               case SinkKind::kScatterOut: {
-                uint32_t keep = valid;
-                if (sk.scatterPred != kNone) {
-                    pre(sk.scatterPred, valid);
-                    keep = truthy(sk.scatterPred, valid);
-                }
-                pre(sk.dramAddr, keep);
-                pre(sk.value, keep);
                 for (uint32_t l = 0; l < lanes_; ++l) {
                     if (!wf.valid(l))
                         continue;
@@ -593,17 +1218,6 @@ Evaluator::execCompute(const Node &n)
     }
     for (CtrId cid : n.leafCtrs)
         ctrLevel_[cid] = -1;
-
-    // End-of-run FlatMap bookkeeping.
-    for (size_t s = 0; s < n.sinks.size(); ++s) {
-        const Sink &sk = n.sinks[s];
-        if (sk.kind != SinkKind::kFlatMapSram)
-            continue;
-        Word count = static_cast<Word>(flatCounts[s]);
-        lastScalar_[{my_id, static_cast<int32_t>(s)}] = count;
-        if (sk.countArgOut != kNone)
-            argOuts_.at(sk.countArgOut).push_back(count);
-    }
 }
 
 } // namespace plast::pir

@@ -135,14 +135,4 @@ DramModel::quiescent() const
     return true;
 }
 
-void
-DramModel::reserve(Addr bytes)
-{
-    Addr words = (bytes + 3) / 4;
-    if (words > image_.size())
-        image_.resize(words, 0);
-}
-
-
-
 } // namespace plast

@@ -168,8 +168,15 @@ class DramModel
     bool quiescent() const;
 
     // --- Memory image -------------------------------------------------
-    /** Ensure the image covers [0, bytes). */
-    void reserve(Addr bytes);
+    /** Ensure the image covers [0, bytes). Inline: the sparse path
+     *  calls it for every accepted lane. */
+    void
+    reserve(Addr bytes)
+    {
+        Addr words = (bytes + 3) / 4;
+        if (words > image_.size())
+            image_.resize(words, 0);
+    }
     Word
     readWord(Addr byteAddr) const
     {

@@ -300,6 +300,191 @@ TEST(EvalLaneOrder, PredicatedOffLanesAreNeverEvaluated)
     EXPECT_EQ(ev.counts().wavefronts, 2u);
 }
 
+// ---- leaf programs ---------------------------------------------------
+
+TEST(EvalPlan, RerunRecomputesOuterCountersScalarsAndBounds)
+{
+    // One leaf program per leaf, reused across the four iterations of
+    // `o`: every run must see the new outer counter, the new scalar from
+    // `tens` and the new dynamic bound from `pick`'s FlatMap count.
+    Builder b("rerun");
+    MemId kept = b.sram("kept", 16);
+    MemId out = b.dram("out", 64);
+    int32_t sums = b.argOut();
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId o = b.ctr("o", 0, 4);
+    NodeId loop = b.outer("loop", CtrlScheme::kSequential, {o}, root);
+    CtrId i = b.ctr("i", 0, 16, 1, true);
+    NodeId pick = b.compute(
+        "pick", loop, {i}, {}, {},
+        {Builder::flatMap(kept, b.ctrE(i),
+                          b.alu(FuOp::kILe, b.ctrE(i), b.ctrE(o)))});
+    CtrId one = b.ctr("one", 0, 1, 1, true);
+    NodeId tens = b.compute(
+        "tens", loop, {one}, {}, {},
+        {Builder::foldToScalar(FuOp::kIAdd,
+                               b.imul(b.ctrE(o), b.immI(10)), one)});
+    CtrId j = b.ctrDyn("j", pick, 0, 0, 1, true);
+    ExprId v = b.iadd(b.scalarRef(0),
+                      b.ima(b.ctrE(o), b.immI(100), b.ctrE(j)));
+    b.compute("use", loop, {j}, {}, {{tens, 0}},
+              {Builder::streamOut(out, b.ima(b.ctrE(o), b.immI(16),
+                                             b.ctrE(j)),
+                                  v),
+               Builder::fold(FuOp::kIAdd, v, j, sums)});
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    ev.run();
+    ASSERT_EQ(ev.argOuts(sums).size(), 4u);
+    for (int oi = 0; oi < 4; ++oi) {
+        int want_sum = 0;
+        for (int k = 0; k < 16; ++k) {
+            int want = k <= oi ? 110 * oi + k : 0;
+            want_sum += want;
+            EXPECT_EQ(wordToInt(ev.dramBuf(out)[oi * 16 + k]), want)
+                << "o=" << oi << " j=" << k;
+        }
+        EXPECT_EQ(wordToInt(ev.argOuts(sums)[oi]), want_sum) << "o=" << oi;
+    }
+    // Per o: 16 ILe, 1 imul, and 3 ops (ima, iadd, address ima) on
+    // each of o+1 lanes.
+    EXPECT_EQ(ev.counts().aluOps, 4u * 17u + 3u * (1 + 2 + 3 + 4));
+    EXPECT_EQ(ev.counts().dramWordsWritten, 10u);
+    EXPECT_EQ(ev.counts().sramWordsWritten, 10u);
+    EXPECT_EQ(ev.counts().wavefronts, 12u);
+}
+
+namespace
+{
+
+/** A leaf that loads tab[100] (out of range) once per index below arg
+ *  `n`, storing it to DRAM. */
+Program
+constLoadProgram(Word n, ArgId *arg_out, MemId *out_mem)
+{
+    Builder b("constload");
+    MemId tab = b.sram("tab", 8);
+    MemId out = b.dram("out", 16);
+    ArgId na = b.arg("n", n);
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId i = b.ctrArg("i", na, 0, 1, true);
+    b.compute("ld", root, {i}, {}, {},
+              {Builder::streamOut(out, b.ctrE(i),
+                                  b.load(tab, b.immI(100)))});
+    *arg_out = na;
+    *out_mem = out;
+    return b.finish(root);
+}
+
+} // namespace
+
+TEST(EvalPlan, ZeroWavefrontLeafNeverReadsItsConstantAddress)
+{
+    ArgId na;
+    MemId out;
+    Program p = constLoadProgram(0, &na, &out);
+    Evaluator ev(p);
+    ASSERT_NO_THROW(ev.run());
+    EXPECT_EQ(ev.counts().wavefronts, 0u);
+    EXPECT_EQ(ev.counts().sramWordsRead, 0u);
+    EXPECT_EQ(ev.counts().dramWordsWritten, 0u);
+    EXPECT_EQ(ev.counts().aluOps, 0u);
+
+    // The same leaf with one index does read, and the check fires.
+    Program q = constLoadProgram(1, &na, &out);
+    Evaluator ev1(q);
+    EXPECT_THROW(ev1.run(), std::out_of_range);
+}
+
+TEST(EvalPlan, PartialLastWavefrontNeverReadsMaskedLanes)
+{
+    // 20 indices: the second wavefront has 4 valid lanes. Lanes 4..15
+    // would load past tab's 20 words and stream past in's end.
+    Builder b("partial");
+    MemId tab = b.sram("tab", 20);
+    MemId in = b.dram("in", 20);
+    MemId out = b.dram("out", 20);
+    int32_t sum = b.argOut();
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId f = b.ctr("f", 0, 20, 1, true);
+    b.compute("fill", root, {f}, {}, {},
+              {Builder::storeSram(tab, b.ctrE(f),
+                                  b.imul(b.ctrE(f), b.immI(3)))});
+    CtrId i = b.ctr("i", 0, 20, 1, true);
+    ExprId v = b.iadd(b.load(tab, b.ctrE(i)), b.streamRef(0));
+    b.compute("use", root, {i}, {StreamIn{in, b.ctrE(i)}}, {},
+              {Builder::streamOut(out, b.ctrE(i), v),
+               Builder::fold(FuOp::kIAdd, v, i, sum)});
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    for (int k = 0; k < 20; ++k)
+        ev.dramBuf(in)[k] = intToWord(1000 * k);
+    ASSERT_NO_THROW(ev.run());
+    int want_sum = 0;
+    for (int k = 0; k < 20; ++k) {
+        EXPECT_EQ(wordToInt(ev.dramBuf(out)[k]), 1003 * k) << "k=" << k;
+        want_sum += 1003 * k;
+    }
+    ASSERT_EQ(ev.argOuts(sum).size(), 1u);
+    EXPECT_EQ(wordToInt(ev.argOuts(sum)[0]), want_sum);
+    EXPECT_EQ(ev.counts().aluOps, 40u); // imul + iadd per index
+    EXPECT_EQ(ev.counts().sramWordsRead, 20u);
+    EXPECT_EQ(ev.counts().dramWordsRead, 20u);
+    EXPECT_EQ(ev.counts().dramWordsWritten, 20u);
+    EXPECT_EQ(ev.counts().sramWordsWritten, 20u);
+    EXPECT_EQ(ev.counts().wavefronts, 4u);
+}
+
+TEST(EvalPlan, LaneOrderSensitiveLeafBetweenLoweredLeaves)
+{
+    // fill (lowered) -> in-place prefix sum (lane-serial) -> emit
+    // (lowered), twice under an outer loop so both kinds re-run.
+    Builder b("mixed");
+    MemId buf = b.sram("buf", 24);
+    MemId out = b.dram("out", 48);
+    int32_t total = b.argOut();
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId o = b.ctr("o", 0, 2);
+    NodeId loop = b.outer("loop", CtrlScheme::kSequential, {o}, root);
+    CtrId f = b.ctr("f", 0, 24, 1, true);
+    b.compute("fill", loop, {f}, {}, {},
+              {Builder::storeSram(buf, b.ctrE(f),
+                                  b.iadd(b.ctrE(f), b.ctrE(o)))});
+    CtrId s = b.ctr("s", 1, 24, 1, true);
+    b.compute("scan", loop, {s}, {}, {},
+              {Builder::storeSram(
+                  buf, b.ctrE(s),
+                  b.iadd(b.load(buf, b.isub(b.ctrE(s), b.immI(1))),
+                         b.load(buf, b.ctrE(s))))});
+    CtrId e = b.ctr("e", 0, 24, 1, true);
+    ExprId v = b.load(buf, b.ctrE(e));
+    b.compute("emit", loop, {e}, {}, {},
+              {Builder::streamOut(out, b.ima(b.ctrE(o), b.immI(24),
+                                             b.ctrE(e)),
+                                  v),
+               Builder::fold(FuOp::kIAdd, v, e, total)});
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    ev.run();
+    ASSERT_EQ(ev.argOuts(total).size(), 2u);
+    for (int oi = 0; oi < 2; ++oi) {
+        int run = 0, want_total = 0;
+        for (int k = 0; k < 24; ++k) {
+            run += k + oi;
+            want_total += run;
+            EXPECT_EQ(wordToInt(ev.dramBuf(out)[oi * 24 + k]), run)
+                << "o=" << oi << " k=" << k;
+        }
+        EXPECT_EQ(wordToInt(ev.argOuts(total)[oi]), want_total);
+    }
+    // Per o: fill 24 iadd; scan 23 x (isub, iadd); emit 24 ima.
+    EXPECT_EQ(ev.counts().aluOps, 2u * (24 + 46 + 24));
+    EXPECT_EQ(ev.counts().sramWordsRead, 2u * (46 + 24));
+    EXPECT_EQ(ev.counts().sramWordsWritten, 2u * (24 + 23));
+    EXPECT_EQ(ev.counts().dramWordsWritten, 48u);
+    EXPECT_EQ(ev.counts().wavefronts, 2u * 6u);
+}
+
 // ---- golden outputs --------------------------------------------------
 
 namespace
