@@ -41,7 +41,6 @@ Evaluator::Evaluator(const Program &prog, uint32_t lanes)
     val_.assign((prog.exprs.size() + 1) * lanes, 0);
     srcBits_.assign(prog.exprs.size(), 0);
     mark_.assign(prog.exprs.size(), 0);
-    dep_.assign(prog.exprs.size(), 0);
     kernel_.assign(prog.exprs.size(), nullptr);
     for (size_t i = 0; i < prog.exprs.size(); ++i) {
         if (prog.exprs[i].kind == ExprKind::kAlu)
@@ -280,6 +279,27 @@ Evaluator::execTransfer(const Node &n)
     }
 }
 
+namespace
+{
+
+/** Call f(lane) for each set bit of `mask`, lowest lane first. */
+template <class F>
+inline void
+forLanes(uint32_t mask, F &&f)
+{
+    for (uint32_t m = mask; m != 0; m &= m - 1)
+        f(static_cast<uint32_t>(__builtin_ctz(m)));
+}
+
+/** True if `mask` is a (possibly empty) run of lanes from lane 0. */
+inline bool
+isPrefix(uint32_t mask)
+{
+    return (mask & (mask + 1)) == 0;
+}
+
+} // namespace
+
 void
 Evaluator::evalVec(ExprId id, uint32_t need)
 {
@@ -331,8 +351,16 @@ Evaluator::evalVec(ExprId id, uint32_t need)
         const Word *a = e.a != kNone ? vals(e.a) : kZero.data();
         const Word *b = e.b != kNone ? vals(e.b) : kZero.data();
         const Word *c = e.c != kNone ? vals(e.c) : kZero.data();
-        // Only lane-serial leaves get here, one lane at a time.
-        each([&](uint32_t l) { out[l] = fuExec(e.alu, a[l], b[l], c[l]); });
+        // Only lane-serial leaves get here, one lane at a time. Lane 0
+        // is a lane prefix and runs the kernel, as in a leaf program:
+        // the two differ in the payload of some NaN results (kFMA).
+        if (kernel_[id] && isPrefix(todo)) {
+            kernel_[id](a, b, c, out, static_cast<uint32_t>(lanes));
+        } else {
+            each([&](uint32_t l) {
+                out[l] = fuExec(e.alu, a[l], b[l], c[l]);
+            });
+        }
         counts_.aluOps += lanes;
         break;
       }
@@ -434,7 +462,15 @@ Evaluator::lower(NodeId id, LeafProgram &lp)
         if (e != kNone)
             roots.push_back({e, src});
     };
+    // One source per distinct mask: sinks sharing a predicate row or a
+    // fold end (level, lane 0 or valid lanes) share a source.
     auto add_source = [&](Source src) {
+        for (size_t k = 1; k < lp.sources.size(); ++k) {
+            const Source &o = lp.sources[k];
+            if (o.kind == src.kind && o.level == src.level &&
+                o.lane0 == src.lane0 && o.pred == src.pred)
+                return static_cast<uint32_t>(k);
+        }
         lp.sources.push_back(src);
         return static_cast<uint32_t>(lp.sources.size() - 1);
     };
@@ -506,7 +542,8 @@ Evaluator::lower(NodeId id, LeafProgram &lp)
         }
     }
     if (lp.sources.size() > 64) {
-        // More masks than one source word holds: stay on the lazy path.
+        // More distinct masks (predicate rows, fold ends) than one
+        // source word holds: stay on the lazy path.
         serial_[id] = true;
         return;
     }
@@ -582,22 +619,12 @@ Evaluator::lower(NodeId id, LeafProgram &lp)
         lp.classes.push_back({bits, (bits & 1u) != 0});
         return static_cast<uint16_t>(lp.classes.size() - 1);
     };
-    // Operands precede their users in `order`, so dep_ is set for every
-    // operand read here; an absent operand is the (invariant) zero row.
-    const bool vec_inner = !n.leafCtrs.empty() &&
-                           prog_.ctrs[n.leafCtrs.back()].vectorized;
-    auto dep = [&](ExprId o) -> int8_t { return o == kNone ? -1 : dep_[o]; };
-    auto join = [](int8_t p, int8_t q) -> int8_t {
-        return p == kLaneVarying || q == kLaneVarying ? kLaneVarying
-                                                      : std::max(p, q);
-    };
     std::vector<Step> later; // steps whose need excludes the valid mask
     for (ExprId x : order) {
         const Expr &e = prog_.exprs[x];
         Step st;
         st.out = row(x);
         bool invariant = false, checked = false;
-        st.dep = e.kind == ExprKind::kLaneId ? kLaneVarying : -1;
         switch (e.kind) {
           case ExprKind::kConst:
           case ExprKind::kLaneId:
@@ -621,10 +648,6 @@ Evaluator::lower(NodeId id, LeafProgram &lp)
             if (level >= 0) {
                 st.op = Step::Op::kLeafCtr;
                 st.level = static_cast<uint8_t>(level);
-                st.dep = vec_inner && static_cast<size_t>(level) + 1 ==
-                                          n.leafCtrs.size()
-                             ? kLaneVarying
-                             : static_cast<int8_t>(level);
             } else {
                 invariant = e.ctr >= 0 &&
                             static_cast<size_t>(e.ctr) < ctrVal_.size();
@@ -639,13 +662,11 @@ Evaluator::lower(NodeId id, LeafProgram &lp)
             st.a = row(e.a);
             st.b = row(e.b);
             st.c = row(e.c);
-            st.dep = join(join(dep(e.a), dep(e.b)), dep(e.c));
             break;
           case ExprKind::kLoadSram:
             st.op = Step::Op::kLoad;
             st.mem = e.mem;
             st.a = row(e.addr);
-            st.dep = dep(e.addr);
             break;
           case ExprKind::kStreamIn:
             if (e.stream >= 0 &&
@@ -653,13 +674,11 @@ Evaluator::lower(NodeId id, LeafProgram &lp)
                 st.op = Step::Op::kStream;
                 st.mem = n.streamIns[e.stream].dram;
                 st.a = row(n.streamIns[e.stream].addr);
-                st.dep = dep(n.streamIns[e.stream].addr);
             } else {
                 checked = true;
             }
             break;
         }
-        dep_[x] = st.dep;
         if (invariant) {
             lp.fills.push_back({st.out, x});
             continue;
@@ -722,27 +741,6 @@ Evaluator::execCompute(const Node &n)
     }
 }
 
-namespace
-{
-
-/** Call f(lane) for each set bit of `mask`, lowest lane first. */
-template <class F>
-inline void
-forLanes(uint32_t mask, F &&f)
-{
-    for (uint32_t m = mask; m != 0; m &= m - 1)
-        f(static_cast<uint32_t>(__builtin_ctz(m)));
-}
-
-/** True if `mask` is a (possibly empty) run of lanes from lane 0. */
-inline bool
-isPrefix(uint32_t mask)
-{
-    return (mask & (mask + 1)) == 0;
-}
-
-} // namespace
-
 void
 Evaluator::runLowered(const Node &n, LeafProgram &lp)
 {
@@ -768,10 +766,6 @@ Evaluator::runLowered(const Node &n, LeafProgram &lp)
     const NodeId my_id = static_cast<NodeId>(&n - prog_.nodes.data());
     Wavefront &wf = wf_;
     const uint32_t width = lanes_;
-    // changed[0]: this run's first wavefront; changed[L + 1]: the last
-    // wavefront on which a leaf counter at level <= L moved.
-    const int depth = static_cast<int>(n.leafCtrs.size());
-    std::array<uint64_t, kMaxCtrs + 1> changed{};
     uint32_t *src = lp.srcMask.data();
     uint32_t *need = lp.need.data();
     auto class_needs = [&](bool valid) {
@@ -786,57 +780,13 @@ Evaluator::runLowered(const Node &n, LeafProgram &lp)
     };
     auto run_steps = [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
-            Step &st = lp.steps[i];
+            const Step &st = lp.steps[i];
             const uint32_t mask = need[st.cls];
             if (mask == 0)
                 continue;
             Word *out = v + st.out;
             const uint32_t lanes =
                 static_cast<uint32_t>(__builtin_popcount(mask));
-            if (st.dep != kLaneVarying) {
-                // Every lane sees the same operands: compute the first
-                // lane of `mask` and broadcast to the whole row. If no
-                // counter it depends on has moved since, the row still
-                // holds the value (and a load's address was checked):
-                // only the counts advance.
-                if (st.dep + 1 < depth &&
-                    st.stamp >= changed[st.dep + 1]) {
-                    if (st.op == Step::Op::kAlu)
-                        counts_.aluOps += lanes;
-                    else if (st.op == Step::Op::kLoad)
-                        counts_.sramWordsRead += lanes;
-                    else if (st.op == Step::Op::kStream)
-                        counts_.dramWordsRead += lanes;
-                    continue;
-                }
-                st.stamp = wfSeq_;
-                const uint32_t f =
-                    static_cast<uint32_t>(__builtin_ctz(mask));
-                Word x = 0;
-                switch (st.op) {
-                  case Step::Op::kAlu:
-                    x = fuExec(st.alu, v[st.a + f], v[st.b + f],
-                               v[st.c + f]);
-                    counts_.aluOps += lanes;
-                    break;
-                  case Step::Op::kLoad:
-                    x = memData_[st.mem].at(v[st.a + f]);
-                    counts_.sramWordsRead += lanes;
-                    break;
-                  case Step::Op::kStream:
-                    x = memData_[st.mem].at(v[st.a + f]);
-                    counts_.dramWordsRead += lanes;
-                    break;
-                  case Step::Op::kLeafCtr:
-                    x = static_cast<Word>(wf.ctr[st.level]);
-                    break;
-                  case Step::Op::kChecked:
-                    x = invariantValue(n, prog_.exprs[st.expr]);
-                    break;
-                }
-                std::fill(out, out + width, x);
-                continue;
-            }
             switch (st.op) {
               case Step::Op::kAlu: {
                 const Word *a = v + st.a, *b = v + st.b, *c = v + st.c;
@@ -866,16 +816,23 @@ Evaluator::runLowered(const Node &n, LeafProgram &lp)
                 break;
               }
               case Step::Op::kLeafCtr: {
-                // The vectorized counter: lane l sees base + l * step
-                // (truncated to a word, so word arithmetic is exact).
+                // Lane l of the vectorized counter sees base + l * step
+                // (truncated to a word, so word arithmetic is exact);
+                // every lane of another counter sees base.
                 const Word base = static_cast<Word>(wf.ctr[st.level]);
-                const Word step = static_cast<Word>(wf.vecStep);
+                const Word step =
+                    static_cast<int8_t>(st.level) == wf.vecCtr
+                        ? static_cast<Word>(wf.vecStep)
+                        : 0;
                 for (uint32_t l = 0; l < width; ++l)
                     out[l] = base + l * step;
                 break;
               }
               case Step::Op::kChecked:
-                break; // uniform
+                // Its out-of-range lookup throws here, at first use.
+                std::fill(out, out + width,
+                          invariantValue(n, prog_.exprs[st.expr]));
+                break;
             }
         }
     };
@@ -889,20 +846,10 @@ Evaluator::runLowered(const Node &n, LeafProgram &lp)
         return keep;
     };
 
-    bool first = true;
     do {
         lp.chain.issueInto(wf);
         ++counts_.wavefronts;
         const uint32_t valid = wf.mask;
-        // Counter L moves when the levels inside it restart.
-        ++wfSeq_;
-        if (first)
-            changed[0] = wfSeq_;
-        first = false;
-        for (int l = 0; l + 1 < depth; ++l) {
-            if (wf.firstAtLevel(static_cast<uint8_t>(l + 1)))
-                changed[l + 1] = wfSeq_;
-        }
 
         // Steps whose need includes the valid lanes first (predicate
         // masks are subsets of those and wait for their predicate).
@@ -952,19 +899,22 @@ Evaluator::runLowered(const Node &n, LeafProgram &lp)
                 const Word *addr = v + ss.addr;
                 std::vector<Word> &m = memData_[sk.mem];
                 if (ss.kernel && !fifo && isPrefix(valid)) {
-                    // Accumulating over distinct addresses (strictly
-                    // increasing, as affine ones are): read, combine and
-                    // write the whole prefix. A repeated address must
-                    // see the earlier lane's write: the lane loop below.
+                    // Accumulating over in-range, distinct addresses
+                    // (strictly increasing, as affine ones are): read,
+                    // combine and write the whole prefix. Otherwise the
+                    // lane loop below, where a repeated address sees the
+                    // earlier lane's write and an out-of-range one throws
+                    // after the lanes before it are written.
                     const uint32_t lanes =
                         static_cast<uint32_t>(__builtin_popcount(valid));
-                    std::array<Word, kMaxLanes> old;
-                    bool distinct = true;
-                    for (uint32_t l = 0; l < lanes; ++l) {
-                        old[l] = m.at(addr[l]);
-                        distinct = distinct && (l == 0 || addr[l - 1] < addr[l]);
-                    }
-                    if (distinct) {
+                    bool plain = true;
+                    for (uint32_t l = 0; l < lanes && plain; ++l)
+                        plain = addr[l] < m.size() &&
+                                (l == 0 || addr[l - 1] < addr[l]);
+                    if (plain) {
+                        std::array<Word, kMaxLanes> old;
+                        for (uint32_t l = 0; l < lanes; ++l)
+                            old[l] = m[addr[l]];
                         ss.kernel(old.data(), x, zero, old.data(), lanes);
                         for (uint32_t l = 0; l < lanes; ++l)
                             m[addr[l]] = old[l];

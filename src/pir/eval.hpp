@@ -93,18 +93,13 @@ class Evaluator
         Op op = Op::kAlu;
         FuOp alu = FuOp::kNop;
         uint8_t level = 0;
-        /** kLaneVarying, or the value is the same in every lane and
-         *  depends on leaf counters at levels <= dep only (-1: none). */
-        int8_t dep = kLaneVarying;
         uint16_t cls = 0;  ///< index of its need mask (LeafProgram::classes)
         MapKernel kernel = nullptr;
         uint32_t out = 0;  ///< value-row offsets into val_
         uint32_t a = 0, b = 0, c = 0;
         MemId mem = kNone;
         ExprId expr = kNone; ///< kChecked
-        uint64_t stamp = 0;  ///< wfSeq_ when last computed (lane-uniform)
     };
-    static constexpr int8_t kLaneVarying = -2;
 
     /** A set of lane-mask sources (bit k: LeafProgram::sources[k]). The
      *  steps reached from the same sources share one need mask. */
@@ -225,12 +220,9 @@ class Evaluator
     /** (exprs + 1) x lanes_ values; the last row stays zero (absent
      *  ALU operands). */
     std::vector<Word> val_;
-    uint64_t wfSeq_ = 0; ///< lowered wavefronts issued so far
-    /** Lowering scratch, per expression: source bits, visit mark and
-     *  counter dependence (Step::dep). */
+    /** Lowering scratch, per expression: source bits and visit mark. */
     std::vector<uint64_t> srcBits_;
     std::vector<uint32_t> mark_;
-    std::vector<int8_t> dep_;
     uint32_t markGen_ = 0;
 };
 

@@ -485,6 +485,65 @@ TEST(EvalPlan, LaneOrderSensitiveLeafBetweenLoweredLeaves)
     EXPECT_EQ(ev.counts().wavefronts, 2u * 6u);
 }
 
+TEST(EvalPlan, AccumulatingStoreWritesLanesBeforeAnOutOfRangeAddress)
+{
+    // acc[i] += 1 for i in [0, 24) over a 20-word SRAM. The first
+    // wavefront is all in range; in the second, lanes 0..3 (i = 16..19)
+    // are in range and lane 4 is not. As in a lane-serial walk, those
+    // four lanes are written before the check throws.
+    Builder b("accoob");
+    MemId acc = b.sram("acc", 20);
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId i = b.ctr("i", 0, 24, 1, true);
+    b.compute("bump", root, {i}, {}, {},
+              {Builder::storeSram(acc, b.ctrE(i), b.immI(1), true,
+                                  FuOp::kIAdd)});
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    EXPECT_THROW(ev.run(), std::out_of_range);
+    for (int k = 0; k < 20; ++k)
+        EXPECT_EQ(wordToInt(ev.sramBuf(acc)[k]), 1) << "k=" << k;
+    EXPECT_EQ(ev.counts().sramWordsWritten, 20u);
+    EXPECT_EQ(ev.counts().wavefronts, 2u);
+}
+
+TEST(EvalPlan, LeafWithMoreMasksThanOneSourceWordIsExact)
+{
+    // 65 ScatterOut sinks, each gated by its own predicate row i < t_k:
+    // 66 distinct lane masks, more than a leaf program tracks, so the
+    // leaf runs lane by lane. Results and counts must still be exact.
+    constexpr int kSinks = 65;
+    Builder b("manymasks");
+    MemId out = b.dram("out", kSinks * 16);
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    CtrId i = b.ctr("i", 0, 16, 1, true);
+    std::vector<Sink> sinks;
+    auto thresh = [](int k) { return k % 17; };
+    for (int k = 0; k < kSinks; ++k) {
+        ExprId pred = b.alu(FuOp::kILt, b.ctrE(i), b.immI(thresh(k)));
+        sinks.push_back(Builder::scatterOut(
+            out, b.iadd(b.ctrE(i), b.immI(16 * k)),
+            b.imul(b.ctrE(i), b.immI(k + 1)), pred));
+    }
+    b.compute("scatter", root, {i}, {}, {}, sinks);
+    Program p = b.finish(root);
+    Evaluator ev(p);
+    ASSERT_NO_THROW(ev.run());
+    uint64_t kept = 0;
+    for (int k = 0; k < kSinks; ++k) {
+        for (int l = 0; l < 16; ++l) {
+            int want = l < thresh(k) ? l * (k + 1) : 0;
+            EXPECT_EQ(wordToInt(ev.dramBuf(out)[16 * k + l]), want)
+                << "sink " << k << " lane " << l;
+        }
+        kept += static_cast<uint64_t>(std::min(thresh(k), 16));
+    }
+    // Per sink: 16 ILt, then iadd and imul on its predicate-true lanes.
+    EXPECT_EQ(ev.counts().aluOps, kSinks * 16u + 2 * kept);
+    EXPECT_EQ(ev.counts().dramWordsWritten, kept);
+    EXPECT_EQ(ev.counts().wavefronts, 1u);
+}
+
 // ---- golden outputs --------------------------------------------------
 
 namespace
