@@ -35,12 +35,7 @@ Evaluator::Evaluator(const Program &prog, uint32_t lanes)
         scalars += prog.nodes[i].sinks.size();
     }
     scalars_.assign(scalars, 0);
-    leaves_.resize(prog.nodes.size());
     ctrLevel_.assign(prog.ctrs.size(), -1);
-    slot_.resize(prog.exprs.size());
-    val_.assign((prog.exprs.size() + 1) * lanes, 0);
-    srcBits_.assign(prog.exprs.size(), 0);
-    mark_.assign(prog.exprs.size(), 0);
     kernel_.assign(prog.exprs.size(), nullptr);
     for (size_t i = 0; i < prog.exprs.size(); ++i) {
         if (prog.exprs[i].kind == ExprKind::kAlu)
@@ -174,7 +169,19 @@ Evaluator::boundOf(const CtrDecl &c) const
 void
 Evaluator::run()
 {
+    leaves_.assign(prog_.nodes.size(), LeafProgram{});
+    slot_.assign(prog_.exprs.size(), Slot{});
+    val_.assign((prog_.exprs.size() + 1) * lanes_, 0);
+    srcBits_.assign(prog_.exprs.size(), 0);
+    mark_.assign(prog_.exprs.size(), 0);
     execNode(prog_.root);
+    // A finished Evaluator often outlives its run only to hold outputs
+    // (one per validated case), so free what the run alone needs.
+    leaves_ = std::vector<LeafProgram>();
+    slot_ = std::vector<Slot>();
+    val_ = std::vector<Word>();
+    srcBits_ = std::vector<uint64_t>();
+    mark_ = std::vector<uint32_t>();
 }
 
 void

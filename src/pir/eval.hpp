@@ -206,8 +206,6 @@ class Evaluator
     std::vector<bool> serial_;
     /** Per ALU expression: monomorphic lane kernel (null: fuExec). */
     std::vector<MapKernel> kernel_;
-    /** Per compute leaf, built lazily on its first run. */
-    std::vector<LeafProgram> leaves_;
 
     // ---- evaluation state, reused across leaf runs ------------------
     /** Leaf-counter level of each counter in the running serial leaf;
@@ -216,6 +214,10 @@ class Evaluator
     const Node *leaf_ = nullptr; ///< node whose expressions are evaluated
     Wavefront wf_;
     uint64_t epoch_ = 0; ///< bumped per serial wavefront / transfer
+
+    // ---- held only while run() runs, freed when it returns -----------
+    /** Per compute leaf, built lazily on the leaf's first run. */
+    std::vector<LeafProgram> leaves_;
     std::vector<Slot> slot_;
     /** (exprs + 1) x lanes_ values; the last row stays zero (absent
      *  ALU operands). */
