@@ -10,15 +10,16 @@
  * therefore match the cycle simulator bit for bit, which lets the
  * end-to-end tests require exact equality.
  *
- * Expressions are evaluated lane-batched, like a PCU stage. Each compute
- * leaf is lowered once, on its first run, into a leaf program: the
- * distinct expressions its sinks reach, in dependency order, each
- * pre-resolved to a step over one row of lane values. A step runs once
- * per wavefront over the lane mask its consumers need — valid lanes,
- * predicate-true lanes for FlatMap and ScatterOut, post-op/address
- * lanes at fold ends — so outputs, instrumented counts and every
- * bounds-checked access are identical to evaluating one lane at a
- * time. Lane-invariant leaves (constants, args, outer counters, scalar
+ * Expressions are evaluated lane-batched, like a PCU stage. Within one
+ * run(), each compute leaf is lowered on its first run into a leaf
+ * program: the distinct expressions its sinks reach, in dependency
+ * order, each pre-resolved to a step over one row of lane values. A
+ * step runs once per wavefront over the lane mask its consumers need —
+ * valid lanes, predicate-true lanes for FlatMap and ScatterOut,
+ * post-op/address lanes at fold ends — so outputs, instrumented counts
+ * and every bounds-checked access are identical to evaluating one lane
+ * at a time (memory and counts left behind by a throw are not).
+ * Lane-invariant leaves (constants, args, outer counters, scalar
  * inputs) are filled once per leaf run. A leaf whose sinks write a
  * memory that its own expressions read, or that reads a scalar it
  * produces itself, is order-sensitive across lanes; it is evaluated
